@@ -29,20 +29,21 @@ mwr-bench-transport-v1 (bench_transport --json):
   not regress more than 5x in either metric against the committed baseline
   (process forking on shared CI runners is noisy, hence the allowance).
 
-mwr-bench-serve-v2 (bench_serve --json):
+mwr-bench-serve-v3 (bench_serve --json):
   the campaign server must complete every admitted campaign (completed ==
   campaigns), never starve one (starved_epochs == 0), reproduce the
   uninterrupted trajectories after a checkpoint/kill/restore cycle
   (resume_ok), record the deliberate overflow submissions as admission
-  rejects, clear an absolute campaigns/sec floor and a p99 probe-latency
-  ceiling, and not regress throughput more than 5x against the committed
-  baseline.  The identity bits (resume_ok, starvation, completion) are
-  measured within one run, so they gate hard regardless of runner speed.
-  v2 adds per-epoch latency percentiles (fairness.epoch_p50_us /
-  epoch_p99_us) and the async-checkpoint wall-time split
-  (checkpoint.critical_path_us on the epoch path vs writer_us on the
-  writer thread) — validated for shape, reported as deltas, not gated
-  (pure timing, too runner-dependent for thresholds).
+  rejects, clear an absolute campaigns/sec floor and a p99 campaign-step
+  latency ceiling (campaign_steps.p99_us: one campaign's step(budget)
+  wall time in one epoch), and not regress throughput more than 5x
+  against the committed baseline.  The identity bits (resume_ok,
+  starvation, completion) are measured within one run, so they gate hard
+  regardless of runner speed.  Per-epoch latency percentiles
+  (fairness.epoch_p50_us / epoch_p99_us) and the async-checkpoint
+  wall-time split (checkpoint.critical_path_us on the epoch path vs
+  writer_us on the writer thread) are validated for shape, reported as
+  deltas, not gated (pure timing, too runner-dependent for thresholds).
 
 Speedup floors and the bit-identity bit are measured within one run, so
 they are immune to runner-speed variance; only the absolute-regression
@@ -89,12 +90,12 @@ TRANSPORT_MIN_MSGS_PER_SEC = 50_000.0
 TRANSPORT_MAX_P99_LATENCY_US = 20_000.0
 TRANSPORT_MAX_ABS_REGRESSION = 5.0  # vs baseline, either metric
 
-SERVE_SCHEMA = "mwr-bench-serve-v2"
+SERVE_SCHEMA = "mwr-bench-serve-v3"
 # An order of magnitude under the slowest expected runner, like the
 # transport floors: catches the server degenerating to one campaign per
 # epoch-sweep without flaking on machine variance.
 SERVE_MIN_CAMPAIGNS_PER_SEC = 20.0
-SERVE_MAX_P99_PROBE_US = 10_000.0
+SERVE_MAX_P99_STEP_US = 10_000.0
 SERVE_MAX_ABS_REGRESSION = 5.0  # campaigns/sec vs baseline, cross-machine
 
 
@@ -297,7 +298,7 @@ SERVE_NUMERIC_FIELDS = {
         "campaigns_per_sec": 0,
         "admission_rejects": 0,
     },
-    "probes": {"count": 1, "p50_us": 0, "p99_us": 0},
+    "campaign_steps": {"count": 1, "p50_us": 0, "p99_us": 0},
     "checkpoint": {"total_bytes": 1, "critical_path_us": 0, "writer_us": 0},
     "fairness": {
         "epochs": 1,
@@ -346,11 +347,11 @@ def check_serve(current, baseline):
             f"throughput {throughput:.1f} campaigns/s is below the "
             f"{SERVE_MIN_CAMPAIGNS_PER_SEC:.0f} floor"
         )
-    p99 = current["probes"]["p99_us"]
-    if p99 > SERVE_MAX_P99_PROBE_US:
+    p99 = current["campaign_steps"]["p99_us"]
+    if p99 > SERVE_MAX_P99_STEP_US:
         fail(
-            f"p99 probe latency {p99:.1f} us exceeds the "
-            f"{SERVE_MAX_P99_PROBE_US:.0f} us ceiling"
+            f"p99 campaign step latency {p99:.1f} us exceeds the "
+            f"{SERVE_MAX_P99_STEP_US:.0f} us ceiling"
         )
     base_throughput = baseline["load"]["campaigns_per_sec"]
     if throughput * SERVE_MAX_ABS_REGRESSION < base_throughput:
@@ -361,7 +362,7 @@ def check_serve(current, baseline):
 
     print(
         f"bench gate: OK ({load['campaigns']} campaigns "
-        f"{throughput:.1f}/s, probe p99 {p99:.1f}us, "
+        f"{throughput:.1f}/s, campaign step p99 {p99:.1f}us, "
         f"{current['checkpoint']['total_bytes']} checkpoint bytes, "
         f"resume bit-identical, 0 starved)"
     )

@@ -5,8 +5,10 @@
 //   load       — campaigns/sec through submit -> DRR epochs -> retire,
 //                plus admission-control rejects from a deliberate
 //                overflow beyond the resident cap;
-//   probes     — p50/p99 per-probe latency (wave wall seconds over
-//                probes issued, sampled every campaign-epoch);
+//   campaign_steps
+//              — p50/p99 campaign step latency: the wall time of one
+//                campaign's step(budget) in one epoch, one sample per
+//                campaign-epoch;
 //   checkpoint — bytes written by a mid-flight checkpoint_all(), the
 //                critical-path vs async-writer wall-time split, and
 //                resume_ok: a kill/restore cycle must reproduce the
@@ -18,7 +20,7 @@
 // Two modes:
 //   default    — self-hosted: an in-process CampaignServer, so every
 //                section above is observable.  Emits BENCH_serve.json
-//                (schema "mwr-bench-serve-v2"); CI's bench-smoke job
+//                (schema "mwr-bench-serve-v3"); CI's bench-smoke job
 //                gates it against bench/BENCH_serve.baseline.json via
 //                .github/check_bench.py.
 //   --connect PATH
@@ -27,8 +29,9 @@
 //                campaign to completion, prints a per-campaign ledger
 //                (id, scenario, cycles, probes, repaired, hash) for the
 //                CI serve lane's artifact.  Daemon-internal sections
-//                (probes, fairness, checkpoint) are not client-visible,
-//                so connect mode does not write the gated JSON.
+//                (campaign steps, fairness, checkpoint) are not
+//                client-visible, so connect mode does not write the
+//                gated JSON.
 //                --poll-only skips submission and polls ids 1..N — the
 //                post-kill --resume half of the CI durability exercise.
 #include <chrono>
@@ -89,7 +92,7 @@ struct LoadResult {
   double campaigns_per_sec = 0.0;
   std::uint64_t epochs = 0;
   std::uint64_t starved = 0;
-  std::vector<double> probe_latency_us;
+  std::vector<double> step_latency_us;
   std::vector<double> epoch_us;    // wall time of every scheduling epoch
 };
 
@@ -135,9 +138,8 @@ LoadResult run_load(std::size_t campaigns, std::size_t quantum,
       seconds > 0.0 ? static_cast<double>(result.completed) / seconds : 0.0;
   result.epochs = server.epochs();
   result.starved = server.starved_epochs();
-  result.probe_latency_us.reserve(server.probe_latency_seconds().size());
-  for (const double s : server.probe_latency_seconds())
-    result.probe_latency_us.push_back(s * 1e6);
+  for (const double s : server.campaign_step_seconds())
+    result.step_latency_us.push_back(s * 1e6);
   return result;
 }
 
@@ -297,7 +299,7 @@ int main(int argc, char** argv) {
 int run(int argc, char** argv) {
   util::Cli cli(
       "bench_serve — mixed-family campaign fleet through the campaign "
-      "server: throughput, probe latency, checkpoint durability, DRR "
+      "server: throughput, step latency, checkpoint durability, DRR "
       "fairness");
   cli.add_int("campaigns", 96, "fleet size (cycled across 6 families)");
   cli.add_int("bugs", 2, "bugs per campaign (CI durability uses more)");
@@ -337,8 +339,8 @@ int run(int argc, char** argv) {
   const LoadResult load = run_load(campaigns, quantum, workers);
   const CheckpointResult checkpoint = run_checkpoint_cycle(workers);
 
-  const double p50_us = util::percentile(load.probe_latency_us, 0.50);
-  const double p99_us = util::percentile(load.probe_latency_us, 0.99);
+  const double p50_us = util::percentile(load.step_latency_us, 0.50);
+  const double p99_us = util::percentile(load.step_latency_us, 0.99);
   const double epoch_p50_us = util::percentile(load.epoch_us, 0.50);
   const double epoch_p99_us = util::percentile(load.epoch_us, 0.99);
 
@@ -349,8 +351,8 @@ int run(int argc, char** argv) {
   table.add_row({"campaigns/s", util::fmt_fixed(load.campaigns_per_sec, 1)});
   table.add_row({"completed", std::to_string(load.completed)});
   table.add_row({"admission rejects", std::to_string(load.rejects)});
-  table.add_row({"probe p50 us", util::fmt_fixed(p50_us, 2)});
-  table.add_row({"probe p99 us", util::fmt_fixed(p99_us, 2)});
+  table.add_row({"campaign step p50 us", util::fmt_fixed(p50_us, 2)});
+  table.add_row({"campaign step p99 us", util::fmt_fixed(p99_us, 2)});
   table.add_row({"epochs", std::to_string(load.epochs)});
   table.add_row({"epoch p50 us", util::fmt_fixed(epoch_p50_us, 1)});
   table.add_row({"epoch p99 us", util::fmt_fixed(epoch_p99_us, 1)});
@@ -366,7 +368,7 @@ int run(int argc, char** argv) {
 
   std::ofstream os(cli.get_string("json"));
   char buf[64];
-  os << "{\n  \"schema\": \"mwr-bench-serve-v2\",\n"
+  os << "{\n  \"schema\": \"mwr-bench-serve-v3\",\n"
      << "  \"params\": {\"campaigns\": " << load.campaigns
      << ", \"families\": " << kFamilies.size() << ", \"quantum\": " << quantum
      << ", \"workers\": " << workers << "},\n";
@@ -377,7 +379,7 @@ int run(int argc, char** argv) {
      << ", \"campaigns_per_sec\": " << buf
      << ", \"admission_rejects\": " << load.rejects << "},\n";
   std::snprintf(buf, sizeof buf, "%.3f", p50_us);
-  os << "  \"probes\": {\"count\": " << load.probe_latency_us.size()
+  os << "  \"campaign_steps\": {\"count\": " << load.step_latency_us.size()
      << ", \"p50_us\": " << buf;
   std::snprintf(buf, sizeof buf, "%.3f", p99_us);
   os << ", \"p99_us\": " << buf << "},\n"

@@ -283,72 +283,12 @@ std::size_t CampaignSession::step(std::size_t budget,
   return used;
 }
 
-std::size_t CampaignSession::stage_unit(std::size_t& staged_probes) {
-  staged_probes = 0;
-  probes_last_step_ = 0;
-  while (phase_ != Phase::kDone) {
-    obs::ScopedTimer unit_timer(*bug_seconds_hist_);
-    unit_timer.cancel();
-    switch (phase_) {
-      case Phase::kPrecompute:
-        do_precompute();
-        phase_ = Phase::kBugStart;
-        return 1;
-      case Phase::kBugStart:
-        if (bug_index_ >= config_.bugs) {
-          finalize();
-          return 1;
-        }
-        start_bug(nullptr);
-        bug_seconds_ += unit_timer.elapsed_seconds();
-        return 1;
-      case Phase::kOnline:
-        staged_probes = repair_->begin_cycle();
-        unit_staged_ = true;
-        bug_seconds_ += unit_timer.elapsed_seconds();
-        return 1;
-      case Phase::kFinishBug:
-        // Never a resting state (complete_unit closes bugs inline); kept
-        // for snapshot-phase totality, exactly as in step().
-        finish_bug();
-        break;
-      case Phase::kDone:
-        break;
-    }
-  }
-  return 0;
-}
-
-void CampaignSession::evaluate_staged(std::size_t j) {
-  repair_->evaluate_staged(j);
-}
-
-void CampaignSession::complete_unit(double elapsed_seconds) {
-  if (!unit_staged_) return;
-  unit_staged_ = false;
-  const bool finished = repair_->finish_cycle(elapsed_seconds);
-  probes_last_step_ += repair_->probes_last_cycle();
-  if (scope_) {
-    scoped_cycles_->add(1);
-    scoped_probes_->add(repair_->probes_last_cycle());
-  }
-  bug_seconds_ += elapsed_seconds;
-  if (finished) finish_bug();
-}
-
 std::uint64_t CampaignSession::trajectory_hash() const noexcept {
   if (repair_) return fnv_fold(trajectory_fold_, repair_->trajectory_hash());
   return trajectory_fold_;
 }
 
 CampaignSnapshot CampaignSession::snapshot() const {
-  if (unit_staged_) {
-    // Snapshots are cycle-boundary artifacts; a staged cycle has drawn
-    // RNG state the snapshot cannot represent mid-flight.
-    throw std::logic_error(
-        "CampaignSession::snapshot: probe wave in flight — complete the "
-        "staged unit first");
-  }
   CampaignSnapshot snap;
   snap.fingerprint = fingerprint_;
   snap.phase = static_cast<std::uint32_t>(phase_);

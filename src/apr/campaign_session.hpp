@@ -110,34 +110,11 @@ class CampaignSession {
   /// the units consumed (>= 1 while not done; 0 once done).  One unit is
   /// one online MWU update cycle or one setup phase (precompute / bug
   /// start); the return value is the deficit-round-robin charge.
-  /// `workers` optionally fans out suite runs inside a unit.
+  /// `workers` optionally fans out suite runs inside a unit.  Distinct
+  /// sessions may step concurrently: a session shares only its
+  /// ScenarioServices and the metrics registry, both thread-safe.
   std::size_t step(std::size_t budget,
                    parallel::ThreadPool* workers = nullptr);
-
-  // --- staged execution (the serve probe wave, DESIGN.md §14) ---
-  //
-  // The pipeline twin of step(): the server stages one unit per campaign,
-  // batches every staged probe into one deterministic parallel sweep, then
-  // completes the units.  Unit-for-unit identical to step()'s loop — setup
-  // units run inline during staging; an online unit splits around the
-  // evaluation sweep.
-
-  /// Stages the next work unit.  Setup units (precompute, bug start,
-  /// finalize) execute inline and complete immediately; an online unit
-  /// begins one MWU cycle and leaves its probes staged (`staged_probes`)
-  /// for evaluate_staged() + complete_unit().  Returns the DRR charge:
-  /// 1 per unit, 0 once the campaign is done.
-  std::size_t stage_unit(std::size_t& staged_probes);
-  /// True while an online cycle is staged and awaiting complete_unit().
-  [[nodiscard]] bool unit_staged() const noexcept { return unit_staged_; }
-  /// Evaluates staged probe `j` — safe to run concurrently for distinct j
-  /// and interleaved with other campaigns' staged probes.
-  void evaluate_staged(std::size_t j);
-  /// Completes the staged online unit: rewards, MWU update, and — when the
-  /// cycle ends the bug — ledger close / campaign finalization, exactly as
-  /// step() would have.  `elapsed_seconds` attributes wall time to the
-  /// bug's telemetry (never trajectory-relevant).
-  void complete_unit(double elapsed_seconds = 0.0);
 
   [[nodiscard]] bool done() const noexcept { return phase_ == Phase::kDone; }
   /// Valid once done().
@@ -204,7 +181,6 @@ class CampaignSession {
   std::uint64_t fingerprint_;
 
   Phase phase_ = Phase::kPrecompute;
-  bool unit_staged_ = false;
   std::size_t bug_index_ = 0;
   std::size_t repaired_so_far_ = 0;
   std::size_t current_tests_;  // suite size the working pool is valid for.

@@ -65,40 +65,7 @@ class RepairSession {
   /// is done (repair found or iteration budget exhausted); further calls
   /// are no-ops returning true.  `workers` optionally fans the suite runs
   /// out (bit-identical for any worker count, as in MwRepair::run).
-  /// Implemented as begin_cycle / evaluate_staged / finish_cycle below, so
-  /// the stepped and staged paths are one code path.
   bool step(parallel::ThreadPool* workers = nullptr);
-
-  // --- staged execution (the serve probe wave, DESIGN.md §14) ---
-  //
-  // A cycle splits into three phases so a server can batch the probe
-  // evaluations of many campaigns into one parallel sweep:
-  //
-  //   begin_cycle()       all of the cycle's stochastic draws (arm sample,
-  //                       patch draws, acceptance) plus their trajectory
-  //                       folds — everything RNG-ordered happens here, in
-  //                       the same order as the monolithic step().
-  //   evaluate_staged(j)  evaluates staged probe j.  Pure and memoized:
-  //                       callable concurrently for distinct j, in any
-  //                       order, interleaved with other sessions' probes.
-  //   finish_cycle()      rewards, MWU update, early-repair exit, budget
-  //                       check — bit-identical to step()'s tail.
-  //
-  // step() == begin_cycle + evaluate all + finish_cycle, so the two
-  // shapes cannot diverge.
-
-  /// Stages one cycle's probes; returns how many (0 when already done).
-  /// Every call must be matched by finish_cycle() after all staged
-  /// probes were evaluated.
-  std::size_t begin_cycle();
-  /// Evaluates staged probe `j` (< begin_cycle()'s return value).
-  /// Thread-safe across distinct j on one session and across sessions
-  /// sharing an oracle.
-  void evaluate_staged(std::size_t j);
-  /// Completes the staged cycle; returns true when the session finished.
-  /// `elapsed_seconds` is the caller-attributed wall time of the cycle
-  /// (telemetry only — never trajectory-relevant).
-  bool finish_cycle(double elapsed_seconds = 0.0);
 
   /// True when this session evaluates probes through the oracle's eager
   /// wave table (index-space sampling, no per-patch sort or cache
@@ -137,6 +104,18 @@ class RepairSession {
   void restore(const State& state);
 
  private:
+  // One cycle of step(), in three parts so the suite runs can fan out:
+  //   begin_cycle()       every stochastic draw of the cycle (arm sample,
+  //                       patch draws, acceptance) and its trajectory
+  //                       folds, before any evaluation; returns the
+  //                       number of probes (0 when already done).
+  //   evaluate_staged(j)  evaluates probe j.  Pure and memoized: callable
+  //                       concurrently for distinct j, in any order.
+  //   finish_cycle()      rewards, MWU update, early-repair exit, budget
+  //                       check.  `elapsed_seconds` is telemetry only.
+  std::size_t begin_cycle();
+  void evaluate_staged(std::size_t j);
+  bool finish_cycle(double elapsed_seconds);
   void finish(bool repaired);
 
   MwRepair repair_;                  // validated/clamped config + arm grid.

@@ -67,7 +67,7 @@ struct CampaignPlan {
 /// an unknown scenario name, an unknown MWU kind, or degenerate repair
 /// knobs (zero bugs/arms/max_count/agents/max_iterations, tests > 64) —
 /// everything a later phase would throw on must be rejected at SUBMIT so
-/// a malformed request can never detonate inside an epoch fiber.
+/// a malformed request can never detonate inside an epoch task.
 [[nodiscard]] CampaignPlan plan_campaign(const SubmitRequest& request);
 
 struct SubmitReply {

@@ -25,12 +25,13 @@
 //                   charges the same precompute_runs a private build
 //                   would have, while only the first tenant pays it.
 //
-// Thread model: sessions call in from engine fibers on many workers.
-// Lookups take the hub mutex; a cache miss publishes a pending entry,
-// builds outside the lock, then marks it ready under the lock. Callers
-// that race the builder wait on a condition variable — an OS-thread
-// block, acceptable because builders never suspend and therefore always
-// retire.  A build failure poisons the entry and rethrows to all waiters.
+// Thread model: sessions call in from per-campaign epoch tasks on many
+// workers.  Lookups take the hub mutex; a cache miss publishes a pending
+// entry, builds outside the lock, then marks it ready under the lock.
+// Callers that race the builder wait on a condition variable — an
+// OS-thread block, acceptable because builders never suspend and
+// therefore always retire.  A build failure poisons the entry and
+// rethrows to all waiters.
 #pragma once
 
 #include <cstdint>

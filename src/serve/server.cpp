@@ -11,7 +11,6 @@
 #include "parallel/superstep.hpp"
 #include "serve/checkpoint.hpp"
 #include "serve/checkpoint_writer.hpp"
-#include "util/sync.hpp"
 #include "util/timer.hpp"
 
 namespace mwr::serve {
@@ -28,7 +27,7 @@ CampaignServer::CampaignServer(ServerConfig config)
   failed_counter_ = &metrics.counter("serve.failed_campaigns");
   checkpoint_bytes_ = &metrics.counter("serve.checkpoint_bytes");
   resident_gauge_ = &metrics.gauge("serve.resident");
-  probe_seconds_ = &metrics.histogram("serve.probe_seconds");
+  step_seconds_ = &metrics.histogram("serve.campaign_step_seconds");
 }
 
 CampaignServer::~CampaignServer() = default;
@@ -36,7 +35,7 @@ CampaignServer::~CampaignServer() = default;
 parallel::SuperstepEngine& CampaignServer::engine() {
   if (!engine_) {
     // One rank is a placeholder — epochs drive the engine exclusively
-    // through parallel_for, whose geometry is the wave size.  The worker
+    // through parallel_for, one index per granted campaign.  The worker
     // pool persists for the server's lifetime: no per-epoch spawn/join.
     engine_ = std::make_unique<parallel::SuperstepEngine>(
         1, parallel::SuperstepEngine::Config{config_.workers});
@@ -56,17 +55,17 @@ double CampaignServer::checkpoint_writer_seconds() const {
   return writer_ ? writer_->stats().writer_seconds : 0.0;
 }
 
-void CampaignServer::record_probe_latency(double seconds) {
+void CampaignServer::record_step_latency(double seconds) {
   if (latency_window_.size() < kLatencyWindowCapacity) {
     latency_window_.push_back(seconds);
   } else {
     latency_window_[latency_next_] = seconds;
     latency_next_ = (latency_next_ + 1) % kLatencyWindowCapacity;
   }
-  probe_seconds_->observe(seconds);
+  step_seconds_->observe(seconds);
 }
 
-std::vector<double> CampaignServer::probe_latency_seconds() const {
+std::vector<double> CampaignServer::campaign_step_seconds() const {
   return latency_window_;
 }
 
@@ -97,150 +96,53 @@ bool CampaignServer::run_epoch() {
       scheduler_.begin_epoch();
   if (grants.empty()) return false;
 
-  // The epoch pipeline: stage / wave / complete rounds until every
-  // grant's budget is consumed.  Per campaign the unit sequence is
-  // exactly step(budget)'s — only the interleaving across campaigns
-  // changes, and the batched evaluations are pure and order-free, so
-  // trajectories are bit-identical to the unpipelined server's.
-  const std::size_t n = grants.size();
-  std::vector<apr::CampaignSession*> sessions(n);
-  std::vector<std::size_t> remaining(n);
-  std::vector<std::size_t> used(n, 0);
-  std::vector<std::size_t> probes(n, 0);
-  std::vector<std::string> errors(n);
-  std::vector<char> active(n, 1);
-  std::vector<char> staged(n, 0);
-  std::vector<std::size_t> staged_probes(n, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    sessions[i] = running_.at(grants[i].id).session.get();
-    remaining[i] = grants[i].budget;
-  }
-
-  struct WaveEntry {
-    std::uint32_t campaign;
-    std::uint32_t probe;
+  // One task per campaign: each calls step(budget) on its own session,
+  // which owns its RNG stream, and writes only its own slot.  A throwing
+  // session fails alone; its task never aborts the sweep.
+  struct Slot {
+    apr::CampaignSession* session = nullptr;
+    std::size_t used = 0;
+    std::size_t probes = 0;
+    double seconds = 0.0;
+    std::string error;
   };
-  std::vector<WaveEntry> wave;
-  util::Mutex error_mutex;  // only touched on the (cold) eval-error path.
-  double wave_seconds_total = 0.0;
-  std::uint64_t wave_probes_total = 0;
-
-  for (;;) {
-    // Stage: ascending grant order.  Setup units (precompute, bug start,
-    // finalize) run inline; a campaign pauses once it has one online
-    // cycle's probes staged, so each round contributes at most one MWU
-    // cycle per campaign to the wave.
-    wave.clear();
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!active[i]) continue;
-      try {
-        while (remaining[i] > 0) {
-          std::size_t nprobes = 0;
-          const std::size_t charge = sessions[i]->stage_unit(nprobes);
-          if (charge == 0) {  // campaign finished during a setup unit.
-            active[i] = 0;
-            break;
-          }
-          used[i] += charge;
-          remaining[i] -= charge;
-          if (sessions[i]->unit_staged()) {
-            staged[i] = 1;
-            staged_probes[i] = nprobes;
-            probes[i] += nprobes;
-            for (std::size_t j = 0; j < nprobes; ++j) {
-              wave.push_back({static_cast<std::uint32_t>(i),
-                              static_cast<std::uint32_t>(j)});
-            }
-            break;
-          }
-          if (sessions[i]->done()) {
-            active[i] = 0;
-            break;
-          }
-        }
-        if (active[i] && !staged[i] && remaining[i] == 0) active[i] = 0;
-      } catch (const std::exception& error) {
-        errors[i] = error.what();
-        if (errors[i].empty()) errors[i] = "campaign stage failed";
-        active[i] = 0;
-      } catch (...) {
-        errors[i] = "campaign stage failed";
-        active[i] = 0;
-      }
+  const std::size_t n = grants.size();
+  std::vector<Slot> slots(n);
+  for (std::size_t i = 0; i < n; ++i)
+    slots[i].session = running_.at(grants[i].id).session.get();
+  engine().parallel_for(n, [&](std::size_t i) {
+    Slot& slot = slots[i];
+    const util::WallTimer timer;
+    try {
+      slot.used = slot.session->step(grants[i].budget);
+      slot.probes = slot.session->probes_last_step();
+    } catch (const std::exception& error) {
+      slot.error = error.what();
+      if (slot.error.empty()) slot.error = "campaign step failed";
+    } catch (...) {
+      slot.error = "campaign step failed";
     }
-    if (wave.empty()) break;  // nothing staged: every budget drained.
+    slot.seconds = timer.elapsed_seconds();
+  });
 
-    // Wave: the whole cross-campaign batch in one deterministic parallel
-    // sweep (the split happened above, before fan-out).  A throwing
-    // evaluation fails only its own campaign, never the sweep.
-    const util::WallTimer wave_timer;
-    engine().parallel_for(wave.size(), [&](std::size_t k) {
-      const WaveEntry entry = wave[k];
-      try {
-        sessions[entry.campaign]->evaluate_staged(entry.probe);
-      } catch (const std::exception& error) {
-        util::MutexLock lock(error_mutex);
-        std::string& slot = errors[entry.campaign];
-        if (slot.empty()) slot = error.what();
-        if (slot.empty()) slot = "campaign probe failed";
-      } catch (...) {
-        util::MutexLock lock(error_mutex);
-        std::string& slot = errors[entry.campaign];
-        if (slot.empty()) slot = "campaign probe failed";
-      }
-    });
-    const double wave_seconds = wave_timer.elapsed_seconds();
-    wave_seconds_total += wave_seconds;
-    wave_probes_total += wave.size();
-
-    // Complete: ascending grant order; rewards + MWU update, with wall
-    // time attributed to each campaign in proportion to its probes
-    // (telemetry only — never trajectory-relevant).
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!staged[i]) continue;
-      staged[i] = 0;
-      if (!errors[i].empty()) {
-        active[i] = 0;  // evaluation failed: do not complete on garbage.
-        continue;
-      }
-      const double share =
-          wave_seconds * static_cast<double>(staged_probes[i]) /
-          static_cast<double>(wave.size());
-      try {
-        sessions[i]->complete_unit(share);
-        if (sessions[i]->done() || remaining[i] == 0) active[i] = 0;
-      } catch (const std::exception& error) {
-        errors[i] = error.what();
-        if (errors[i].empty()) errors[i] = "campaign update failed";
-        active[i] = 0;
-      } catch (...) {
-        errors[i] = "campaign update failed";
-        active[i] = 0;
-      }
-    }
-  }
-
-  // Settle and retire.  Per-probe latency is the epoch's aggregate wave
-  // rate, sampled once per campaign-epoch that issued probes.
-  const double per_probe =
-      wave_probes_total != 0
-          ? wave_seconds_total / static_cast<double>(wave_probes_total)
-          : 0.0;
+  // Settle in ascending grant order, so retire, fail and checkpoint
+  // order never depends on the task schedule.
   std::vector<std::uint64_t> retired;
   std::vector<std::uint64_t> failed;
   for (std::size_t i = 0; i < n; ++i) {
     const DeficitScheduler::Grant& grant = grants[i];
-    scheduler_.settle(grant.id, used[i]);
+    const Slot& slot = slots[i];
+    scheduler_.settle(grant.id, slot.used);
     Campaign& campaign = running_.at(grant.id);
-    campaign.online_cycles += used[i];
-    campaign.online_probes += probes[i];
-    if (probes[i] > 0) record_probe_latency(per_probe);
-    if (!errors[i].empty()) {
-      campaign.error = errors[i];
+    campaign.online_cycles += slot.used;
+    campaign.online_probes += slot.probes;
+    record_step_latency(slot.seconds);
+    if (!slot.error.empty()) {
+      campaign.error = slot.error;
       failed.push_back(grant.id);
     } else if (campaign.session->done()) {
       retired.push_back(grant.id);
-    } else if (used[i] == 0) {
+    } else if (slot.used == 0) {
       // DRR guarantees budget >= 1 and sessions consume >= 1 unit while
       // unfinished, so this counter staying at zero is the no-starvation
       // proof obligation CI checks.
@@ -277,6 +179,11 @@ bool CampaignServer::run_epoch() {
 void CampaignServer::drain() {
   while (run_epoch()) {
   }
+  flush_checkpoints();
+}
+
+void CampaignServer::flush_checkpoints() {
+  if (writer_) writer_->flush();
 }
 
 void CampaignServer::finish_campaign(Campaign&& campaign) {

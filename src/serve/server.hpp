@@ -1,35 +1,25 @@
 // CampaignServer: multiplexes many concurrent repair campaigns over one
 // persistent bounded worker pool.
 //
-// Execution model — the epoch pipeline (DESIGN.md §14):
+// Execution model — one task per campaign (DESIGN.md §14):
 //
 //   submit()     admission control: a campaign is admitted while the
 //                resident count is below the configured cap, planned via
 //                plan_campaign(), given "campaign/<id>/" scoped metrics,
 //                and registered with the deficit-round-robin scheduler.
-//   run_epoch()  one scheduling epoch, pipelined in stage/wave/complete
-//                rounds over the resident SuperstepEngine (persistent
-//                workers; no per-epoch thread spawn/join):
-//                  stage    — in ascending grant order, each campaign
-//                             advances through setup units inline until
-//                             it stages one online MWU cycle's probes,
-//                             finishes, or exhausts its DRR budget.  The
-//                             unit sequence per campaign is exactly
-//                             step(budget)'s.
-//                  wave     — every staged probe across every campaign
-//                             is batched into one deterministic parallel
-//                             sweep (split before fan-out; evaluations
-//                             are pure and order-free) over the shared
-//                             workers and OracleHub caches.
-//                  complete — in ascending grant order, each staged
-//                             campaign applies rewards and its MWU
-//                             update; rounds repeat until every grant's
-//                             budget is consumed.  Trajectories are
-//                             bit-identical to the unpipelined server's.
-//                Campaigns that finish are retired: result JSON rendered
-//                (the same mwr-campaign-outcome-v1 document repair_tool
-//                emits), scheduler slot released, checkpoint removal
-//                routed through the async writer.
+//   run_epoch()  one scheduling epoch: a parallel_for over the granted
+//                campaigns on the resident SuperstepEngine (persistent
+//                workers; no per-epoch thread spawn/join).  Task i calls
+//                step(budget) on campaign i's session and records the
+//                units used, the probes issued, its wall time and any
+//                exception in its own slot.  Then, serially and in
+//                ascending grant order, each slot is settled with the
+//                scheduler, and finished campaigns are retired: result
+//                JSON rendered on first fetch (the same
+//                mwr-campaign-outcome-v1 document repair_tool emits),
+//                scheduler slot released, checkpoint removal routed
+//                through the async writer.  A campaign whose step threw
+//                fails alone.
 //   checkpoint_all() / restore_from_dir()
 //                durability: the epoch path serializes only *dirty*
 //                campaigns (progress since their last checkpoint) into
@@ -42,10 +32,12 @@
 //
 // The server itself is single-threaded: submit/run_epoch/checkpoint are
 // called from the daemon's control loop, never concurrently.  The only
-// intra-epoch concurrency is the engine's probe sweep, which touches
-// disjoint staged evaluations plus the internally-synchronized hub and
-// metrics registry — plus the writer thread, which only ever sees byte
-// buffers the critical path has already sealed.
+// intra-epoch concurrency is the per-campaign tasks.  Each owns its
+// session (and so its RNG stream) and its result slot; what tasks share
+// is the OracleHub (builds under its mutex, primed tables read-only) and
+// the metrics registry (relaxed atomics).  plan_campaign forces every
+// campaign single-threaded, so tasks never nest.  The writer thread only
+// ever sees byte buffers the critical path has already sealed.
 //
 // Fairness telemetry: serve.starved_epochs counts campaigns that ended
 // an epoch with zero units consumed while unfinished.  The DRR invariant
@@ -91,7 +83,7 @@ struct ServerConfig {
 
 class CampaignServer {
  public:
-  /// Probe-latency samples retained for percentile telemetry: a rolling
+  /// Step-latency samples retained for percentile telemetry: a rolling
   /// window, so a long-lived daemon's memory does not grow with epochs.
   static constexpr std::size_t kLatencyWindowCapacity = 1024;
 
@@ -111,8 +103,15 @@ class CampaignServer {
   /// there was nothing to run.
   bool run_epoch();
 
-  /// Steps epochs until every resident campaign has finished.
+  /// Steps epochs until every resident campaign has finished, then
+  /// flushes the checkpoint writer (see flush_checkpoints).
   void drain();
+
+  /// Waits until every queued checkpoint write and retirement unlink is
+  /// on disk.  Throws std::runtime_error when a writer operation failed
+  /// since the last flush, so the error is reported rather than lost.
+  /// A no-op when nothing was ever queued.
+  void flush_checkpoints();
 
   [[nodiscard]] std::size_t resident() const noexcept;
   [[nodiscard]] std::size_t completed() const noexcept;
@@ -133,12 +132,12 @@ class CampaignServer {
   /// for unknown ids).
   [[nodiscard]] ResultReply result(std::uint64_t campaign_id) const;
 
-  /// Wave wall seconds divided by wave probes, one sample per
-  /// campaign-epoch that issued probes — the distribution behind the
-  /// bench's p50/p99 probe latency.  Returns the rolling window's
-  /// contents (at most kLatencyWindowCapacity samples; order is not
-  /// meaningful — consumers compute percentiles).
-  [[nodiscard]] std::vector<double> probe_latency_seconds() const;
+  /// Wall seconds of one campaign's step(budget) in one epoch, timed
+  /// inside its task — one sample per campaign-epoch, the distribution
+  /// behind the bench's p50/p99 step latency.  Returns the rolling
+  /// window's contents (at most kLatencyWindowCapacity samples; order is
+  /// not meaningful — consumers compute percentiles).
+  [[nodiscard]] std::vector<double> campaign_step_seconds() const;
 
   /// Wall seconds the epoch/checkpoint critical path spent serializing
   /// snapshots and queueing them (everything checkpointing costs the
@@ -211,7 +210,7 @@ class CampaignServer {
   /// Serializes dirty campaigns and queues their writes (no flush).
   /// Returns the bytes serialized; accumulates the critical-path timer.
   std::uint64_t enqueue_dirty_checkpoints();
-  void record_probe_latency(double seconds);
+  void record_step_latency(double seconds);
 
   ServerConfig config_;
   OracleHub hub_;
@@ -237,7 +236,7 @@ class CampaignServer {
   obs::Counter* failed_counter_;
   obs::Counter* checkpoint_bytes_;
   obs::Gauge* resident_gauge_;
-  obs::Histogram* probe_seconds_;
+  obs::Histogram* step_seconds_;
 };
 
 }  // namespace mwr::serve

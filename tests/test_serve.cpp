@@ -10,10 +10,13 @@
 #include <fstream>
 #include <iterator>
 #include <limits>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
 #include <vector>
+
+#include <unistd.h>
 
 #include "apr/campaign.hpp"
 #include "apr/campaign_session.hpp"
@@ -29,6 +32,16 @@
 
 namespace mwr::serve {
 namespace {
+
+// A checkpoint directory private to this test and this process, so
+// parallel ctest runs and two build trees never share one.
+std::filesystem::path private_dir() {
+  const ::testing::TestInfo* info =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  return std::filesystem::temp_directory_path() /
+         ("mwr-" + std::string(info->test_suite_name()) + "-" +
+          info->name() + "-" + std::to_string(::getpid()));
+}
 
 // A small but real campaign over a named scenario: completes in tens of
 // milliseconds yet exercises precompute, revalidation, and online MWU.
@@ -433,7 +446,7 @@ TEST(CampaignServer, MultiplexesMixedFamiliesToCompletionWithoutStarvation) {
   EXPECT_EQ(server.completed(), 10u);
   EXPECT_EQ(server.starved_epochs(), 0u);  // the zero-starvation invariant
   EXPECT_GT(server.epochs(), 0u);
-  EXPECT_FALSE(server.probe_latency_seconds().empty());
+  EXPECT_FALSE(server.campaign_step_seconds().empty());
 
   // Every campaign finished, has a status, and yields schema'd JSON.
   for (const std::uint64_t id : ids) {
@@ -526,8 +539,7 @@ TEST(CampaignServer, ScopedMetricsExposePerCampaignViews) {
 }
 
 TEST(CampaignServer, CheckpointRestoreResumesBitIdentically) {
-  const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() / "mwr-serve-ckpt-test";
+  const std::filesystem::path dir = private_dir();
   std::filesystem::remove_all(dir);
 
   const std::vector<std::string> families = {"units", "gzip-2009-09-26",
@@ -599,7 +611,7 @@ TEST(CampaignServer, CheckpointRestoreResumesBitIdentically) {
   std::filesystem::remove_all(dir);
 }
 
-// --- epoch pipeline: bounded telemetry & async durability ---------------
+// --- epoch: per-campaign tasks, bounded telemetry, async durability -----
 
 std::vector<std::uint8_t> read_file_bytes(const std::filesystem::path& path) {
   std::ifstream in(path, std::ios::binary);
@@ -614,7 +626,95 @@ std::size_t count_ckpt_files(const std::filesystem::path& dir) {
   return count;
 }
 
-TEST(CampaignServer, ProbeLatencyWindowStaysBounded) {
+// Reads every checkpoint file in `dir`, keyed by file name.
+std::map<std::string, std::vector<std::uint8_t>> read_checkpoints(
+    const std::filesystem::path& dir) {
+  std::map<std::string, std::vector<std::uint8_t>> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir))
+    files[entry.path().filename().string()] = read_file_bytes(entry.path());
+  return files;
+}
+
+TEST(CampaignServer, TrajectoriesAndCheckpointsMatchAtEveryWorkerCount) {
+  // A mixed load: four families on the shared default pool seed, plus two
+  // private pool seeds on programs the shared campaigns also use, so
+  // tasks race for hub pool builds and for which ready pool primes each
+  // oracle.  grow_suite (on in small_request) makes every repaired bug
+  // start a fresh oracle build mid-epoch.
+  std::vector<SubmitRequest> load;
+  const std::vector<std::string> families = {"units", "gzip-2009-08-16",
+                                             "Chart26", "Math80"};
+  for (std::uint64_t i = 0; i < 8; ++i)
+    load.push_back(small_request(families[i % families.size()], 200 + i));
+  for (const std::uint64_t pool_seed : {91u, 92u}) {
+    for (const char* family : {"units", "Math80"}) {
+      SubmitRequest request = small_request(family, 300 + pool_seed);
+      request.pool_seed = pool_seed;
+      load.push_back(request);
+    }
+  }
+
+  // Reference: each campaign alone, single-shot.
+  std::vector<std::uint64_t> hashes;
+  std::vector<std::string> docs;
+  for (const SubmitRequest& request : load) {
+    const CampaignPlan plan = plan_campaign(request);
+    apr::CampaignSession session(plan.spec, plan.config);
+    while (!session.done())
+      (void)session.step(std::numeric_limits<std::size_t>::max());
+    hashes.push_back(session.trajectory_hash());
+    docs.push_back(
+        apr::outcome_to_json(apr::run_campaign(plan.spec, plan.config))
+            .dump(2) +
+        "\n");
+  }
+
+  const std::filesystem::path root = private_dir();
+  std::filesystem::remove_all(root);
+  for (const std::size_t quantum : {1u, 8u}) {
+    std::map<std::string, std::vector<std::uint8_t>> reference_files;
+    for (const std::size_t workers : {1u, 2u, 4u}) {
+      SCOPED_TRACE("workers " + std::to_string(workers) + ", quantum " +
+                   std::to_string(quantum));
+      const std::filesystem::path dir =
+          root / ("w" + std::to_string(workers) + "q" +
+                  std::to_string(quantum));
+      ServerConfig config;
+      config.max_resident = load.size();
+      config.quantum = quantum;
+      config.workers = workers;
+      config.checkpoint_dir = dir.string();
+      CampaignServer server(config);
+      std::vector<std::uint64_t> ids;
+      for (const SubmitRequest& request : load)
+        ids.push_back(*server.submit(request));
+
+      for (int epoch = 0; epoch < 3; ++epoch) (void)server.run_epoch();
+      (void)server.checkpoint_all();
+      const auto files = read_checkpoints(dir);
+      EXPECT_FALSE(files.empty());
+      if (workers == 1) {
+        reference_files = files;
+      } else {
+        EXPECT_EQ(files, reference_files)
+            << "checkpoint bytes depend on the worker count";
+      }
+
+      server.drain();
+      EXPECT_EQ(server.failed_campaigns(), 0u);
+      EXPECT_EQ(server.starved_epochs(), 0u);
+      for (std::size_t i = 0; i < load.size(); ++i) {
+        EXPECT_EQ(server.status(ids[i]).trajectory_hash, hashes[i])
+            << "campaign " << ids[i];
+        EXPECT_EQ(server.result(ids[i]).outcome_json, docs[i])
+            << "campaign " << ids[i];
+      }
+    }
+  }
+  std::filesystem::remove_all(root);
+}
+
+TEST(CampaignServer, CampaignStepWindowStaysBounded) {
   ServerConfig config;
   config.workers = 2;
   config.quantum = 1;  // one unit per campaign-epoch: maximum samples.
@@ -627,24 +727,22 @@ TEST(CampaignServer, ProbeLatencyWindowStaysBounded) {
   }
   server.drain();
 
-  // The unbounded predecessor kept one sample per campaign-epoch forever.
-  // At quantum 1 every online cycle is one such epoch; prove the run
-  // produced more samples than the window holds, then pin the bound.
+  // An unbounded window would keep one sample per campaign-epoch forever.
+  // At quantum 1 every unit is one such epoch; prove the run produced
+  // more samples than the window holds, then pin the bound.
   std::uint64_t unit_epochs = 0;
   for (const std::uint64_t id : ids)
     unit_epochs += server.status(id).online_cycles;
-  // online_cycles counts setup units too; at most 4 per campaign are
-  // probe-free, so subtract them before comparing against the window.
+  // Conservative margin: up to 4 units per campaign are setup units.
   ASSERT_GT(unit_epochs, CampaignServer::kLatencyWindowCapacity + 4 * ids.size())
       << "load too small to overflow the window; raise campaigns or iterations";
-  const std::vector<double> window = server.probe_latency_seconds();
+  const std::vector<double> window = server.campaign_step_seconds();
   EXPECT_EQ(window.size(), CampaignServer::kLatencyWindowCapacity);
   for (const double seconds : window) EXPECT_GE(seconds, 0.0);
 }
 
 TEST(CheckpointWriter, LatestWinsCoalescingAndRemoveOrdering) {
-  const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() / "mwr-ckpt-writer-test";
+  const std::filesystem::path dir = private_dir();
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   const std::string path = (dir / "campaign-1.ckpt").string();
@@ -684,8 +782,7 @@ TEST(CheckpointWriter, LatestWinsCoalescingAndRemoveOrdering) {
 }
 
 TEST(CampaignServer, AsyncCheckpointsRaceRetirementWithoutResurrection) {
-  const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() / "mwr-serve-churn-test";
+  const std::filesystem::path dir = private_dir();
   std::filesystem::remove_all(dir);
 
   ServerConfig config;
@@ -712,8 +809,7 @@ TEST(CampaignServer, AsyncCheckpointsRaceRetirementWithoutResurrection) {
 }
 
 TEST(CampaignServer, StrayTmpFromKilledFlushIsIgnoredOnRestore) {
-  const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() / "mwr-serve-tmp-test";
+  const std::filesystem::path dir = private_dir();
   std::filesystem::remove_all(dir);
 
   // First life: one campaign checkpointed mid-flight.
@@ -749,8 +845,7 @@ TEST(CampaignServer, StrayTmpFromKilledFlushIsIgnoredOnRestore) {
 }
 
 TEST(CampaignServer, DirtyTrackingSkipsCleanCampaignsAndMatchesSyncBytes) {
-  const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() / "mwr-serve-dirty-test";
+  const std::filesystem::path dir = private_dir();
   std::filesystem::remove_all(dir);
 
   ServerConfig config;

@@ -4,9 +4,9 @@
 // (serve/control.hpp): clients submit campaigns, poll status, fetch
 // results, request checkpoints, and ask for a drain-and-exit shutdown.
 // Resident campaigns advance between control-plane services, one
-// deficit-round-robin epoch at a time, as fibers on the bounded
-// superstep engine — thousands of tenants, a fixed worker pool, and
-// no tenant starved (serve/scheduler.hpp).
+// deficit-round-robin epoch at a time, one task per campaign on the
+// bounded superstep engine — thousands of tenants, a fixed worker pool,
+// and no tenant starved (serve/scheduler.hpp).
 //
 // Durability: with --checkpoint-dir the daemon persists every resident
 // campaign's snapshot (each --checkpoint-every epochs and on demand);
@@ -198,6 +198,9 @@ int run(int argc, char** argv) {
     listener.wait_readable(raw, /*timeout_ms=*/50);
   }
 
+  // Retirement unlinks and periodic writes may still be queued: settle
+  // them before exiting, and fail loudly if any of them did not land.
+  server.flush_checkpoints();
   std::printf(
       "mwr_served: exiting — %zu completed, %llu epochs, %llu starved\n",
       server.completed(), static_cast<unsigned long long>(server.epochs()),
