@@ -41,8 +41,11 @@
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <system_error>
 #include <thread>
 #include <vector>
+
+#include <unistd.h>
 
 #include "serve/client.hpp"
 #include "serve/control.hpp"
@@ -147,9 +150,19 @@ LoadResult run_load(std::size_t campaigns, std::size_t quantum,
 /// destroy the server (kill -9 equivalent), restore into a fresh one,
 /// and demand the uninterrupted trajectories back bit-for-bit.
 CheckpointResult run_checkpoint_cycle(std::size_t workers) {
-  const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() / "mwr-bench-serve-ckpt";
-  std::filesystem::remove_all(dir);
+  // Named by pid so two concurrent runs never delete each other's files,
+  // and removed on every exit from this function, exceptions included.
+  struct PrivateDir {
+    const std::filesystem::path path =
+        std::filesystem::temp_directory_path() /
+        ("mwr-bench-serve-ckpt-" + std::to_string(::getpid()));
+    PrivateDir() { std::filesystem::remove_all(path); }
+    ~PrivateDir() {
+      std::error_code ignored;
+      std::filesystem::remove_all(path, ignored);
+    }
+  } private_dir;
+  const std::filesystem::path& dir = private_dir.path;
 
   const std::size_t fleet = kFamilies.size();
   std::vector<std::uint64_t> reference_hashes;
@@ -200,7 +213,6 @@ CheckpointResult run_checkpoint_cycle(std::size_t workers) {
     }
     result.resume_ok = result.resume_ok && second_life.starved_epochs() == 0;
   }
-  std::filesystem::remove_all(dir);
   return result;
 }
 

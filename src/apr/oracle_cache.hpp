@@ -189,24 +189,34 @@ class OracleCache {
 
   // --- probe-wave table (eager per-oracle evaluation operands) ---
 
-  /// Everything a pooled-patch evaluation needs, flattened for the SIMD
-  /// probe-mask kernels: per-member broken masks as a gatherable u64 array,
-  /// safe / repair-relevant membership as bitsets over pool indices, and
-  /// the sparse symmetric CSR of interfering safe pairs (partner index +
-  /// interference mask per edge, both directions stored — the OR fold is
-  /// idempotent, so walking each edge twice is harmless).  Built once by
-  /// TestOracle::prime_wave; read lock-free by every evaluate_pooled.
+  /// Everything a pooled-patch evaluation needs, laid out for a
+  /// word-parallel pass over pool-membership bitsets: per-member broken
+  /// masks, unsafe / repair-relevant / has-a-partner membership as
+  /// bitsets over pool indices, and the sparse CSR of interfering safe
+  /// pairs (partner index + interference mask per edge), each pair stored
+  /// once, in the row of its lower index.  `row_masks` lets
+  /// evaluate_pooled skip a row whose every bit is already broken, and
+  /// `full_mask` lets it stop once every test is.  Built once by
+  /// TestOracle::prime_wave; read lock-free by every evaluate_pooled
+  /// (DESIGN.md §8.2).
   struct WaveTable {
     std::vector<Mutation> pool;                 ///< the primed members, so
                                                 ///< mappers can verify full
                                                 ///< equality (not just key).
     std::vector<std::uint64_t> masks;           ///< broken mask per member.
-    std::vector<std::uint64_t> safe_words;      ///< bitset: broken_mask == 0.
+    std::vector<std::uint64_t> unsafe_words;    ///< bitset: broken_mask != 0.
     std::vector<std::uint64_t> relevant_words;  ///< bitset: counts toward
                                                 ///< the repair threshold.
+    std::vector<std::uint64_t> pair_words;      ///< bitset: nonempty CSR
+                                                ///< row.
     std::vector<std::uint32_t> partner_offsets; ///< CSR row starts, size n+1.
-    std::vector<std::uint32_t> partner_idx;     ///< interfering partner.
+    std::vector<std::uint32_t> partner_idx;     ///< interfering partner,
+                                                ///< above the row's index.
     std::vector<std::uint64_t> partner_masks;   ///< that pair's broken bit.
+    std::vector<std::uint64_t> row_masks;       ///< OR of each row's
+                                                ///< partner_masks.
+    std::uint64_t full_mask = 0;                ///< one bit per required
+                                                ///< test (~0 when T = 64).
   };
 
   /// Installs the wave table for the currently primed pool.  Same no-race

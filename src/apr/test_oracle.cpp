@@ -2,10 +2,8 @@
 
 #include "apr/fault_localization.hpp"
 #include "obs/registry.hpp"
-#include "util/simd/weight_kernels.hpp"
 
 #include <algorithm>
-#include <array>
 #include <bit>
 #include <cmath>
 #include <stdexcept>
@@ -267,38 +265,53 @@ Evaluation TestOracle::evaluate_pooled(
   suite_runs_.fetch_add(1, std::memory_order_relaxed);
   const auto& spec = program_->spec();
   const OracleCache::WaveTable& wave = cache_->wave();
-  const util::simd::WeightKernels& kernels = util::simd::active();
 
-  // Per-member breakage is one gather-OR over the flat mask array; safe
-  // and relevant counts are bitset intersections against the patch's
-  // pool-membership bitmap.  All integer ops — bit-identical to the
-  // member loop of evaluate() by construction.
-  std::uint64_t broken = kernels.mask_or_gather(
-      wave.masks.data(), pool_indices.data(), pool_indices.size());
-
+  // The patch as a pool-membership bitset: every pass below runs word by
+  // word against the table's bitsets, so its cost follows bitset words
+  // and the rows of interfering members, not the partner edges of the
+  // whole patch.  All integer ops — bit-identical to the member loop of
+  // evaluate() by construction.
   thread_local std::vector<std::uint64_t> member_words;
-  const std::size_t words = wave.safe_words.size();
+  const std::size_t words = wave.unsafe_words.size();
   member_words.assign(words, 0);
   for (const std::uint32_t i : pool_indices) {
     member_words[i >> 6] |= std::uint64_t{1} << (i & 63);
   }
-  const std::size_t n_safe = kernels.popcount_and(
-      wave.safe_words.data(), member_words.data(), words);
-  const std::size_t relevant = kernels.popcount_and(
-      wave.relevant_words.data(), member_words.data(), words);
+  const std::uint64_t* member = member_words.data();
 
-  // Pairwise interference: walk each safe member's precomputed partner
-  // row and OR the masks of partners that are also in the patch.  The
-  // CSR is symmetric, so every interfering pair is visited twice — OR is
-  // idempotent, and the double visit beats a per-edge direction test.
-  for (const std::uint32_t i : pool_indices) {
-    if (((wave.safe_words[i >> 6] >> (i & 63)) & 1) == 0) continue;
-    const std::uint32_t end = wave.partner_offsets[i + 1];
-    for (std::uint32_t o = wave.partner_offsets[i]; o < end; ++o) {
-      const std::uint32_t j = wave.partner_idx[o];
-      if ((member_words[j >> 6] >> (j & 63)) & 1) {
-        broken |= wave.partner_masks[o];
+  // Safe and relevant counts are popcounts; per-member breakage ORs in
+  // only the unsafe members' masks (a safe member's mask is 0).
+  std::size_t n_safe = 0;
+  std::size_t relevant = 0;
+  std::uint64_t broken = 0;
+  for (std::size_t w = 0; w < words; ++w) {
+    const std::uint64_t unsafe = wave.unsafe_words[w] & member[w];
+    n_safe += static_cast<std::size_t>(std::popcount(member[w] & ~unsafe));
+    relevant += static_cast<std::size_t>(
+        std::popcount(wave.relevant_words[w] & member[w]));
+    for (std::uint64_t bits = unsafe; bits != 0; bits &= bits - 1) {
+      broken |= wave.masks[(w << 6) | std::countr_zero(bits)];
+    }
+  }
+
+  // Pairwise interference: walk the partner row of each member that has
+  // one, ORing the masks of partners also in the patch (a branch-free
+  // select per edge).  `broken` only ever gains bits below T, so a row
+  // whose masks are all already broken cannot change the result and is
+  // skipped, and once every test is broken the pass stops: neither
+  // shortcut can move required_passed.
+  for (std::size_t w = 0; w < words && broken != wave.full_mask; ++w) {
+    for (std::uint64_t bits = wave.pair_words[w] & member[w]; bits != 0;
+         bits &= bits - 1) {
+      const std::size_t i = (w << 6) | std::countr_zero(bits);
+      if ((wave.row_masks[i] & ~broken) == 0) continue;
+      const std::uint32_t end = wave.partner_offsets[i + 1];
+      for (std::uint32_t o = wave.partner_offsets[i]; o < end; ++o) {
+        const std::uint32_t j = wave.partner_idx[o];
+        const std::uint64_t in_patch = (member[j >> 6] >> (j & 63)) & 1;
+        broken |= wave.partner_masks[o] & (std::uint64_t{0} - in_patch);
       }
+      if (broken == wave.full_mask) break;
     }
   }
 
@@ -327,57 +340,45 @@ void TestOracle::prime_wave(std::span<const Mutation> pool) const {
   OracleCache::WaveTable wave;
   wave.pool.assign(pool.begin(), pool.end());
   wave.masks.resize(n);
-  wave.safe_words.assign(words, 0);
+  wave.unsafe_words.assign(words, 0);
   wave.relevant_words.assign(words, 0);
-  std::vector<std::uint32_t> safe_list;
+  wave.pair_words.assign(words, 0);
+  wave.full_mask = ~std::uint64_t{0} >> (64 - required_tests_);
   for (std::size_t i = 0; i < n; ++i) {
     const MutationSemantics& s = cache_->pooled(i);
     wave.masks[i] = s.broken_mask;
-    if (s.broken_mask != 0) continue;
-    wave.safe_words[i >> 6] |= std::uint64_t{1} << (i & 63);
-    safe_list.push_back(static_cast<std::uint32_t>(i));
-    if (s.relevance_hash_pass &&
-        (!spec.relevance_localized ||
-         failing_test_covers(spec, pool[i].target))) {
+    if (s.broken_mask != 0) {
+      wave.unsafe_words[i >> 6] |= std::uint64_t{1} << (i & 63);
+    } else if (s.relevance_hash_pass &&
+               (!spec.relevance_localized ||
+                failing_test_covers(spec, pool[i].target))) {
       wave.relevant_words[i >> 6] |= std::uint64_t{1} << (i & 63);
     }
   }
   // Every interference hash the pooled scenario can charge, paid once:
   // C(n_safe, 2) hashes here amortize over thousands of per-probe pair
-  // loops.  Pool indices ascend with keys, so (a, b) is already (lo, hi).
-  std::vector<std::array<std::uint32_t, 2>> edges;
-  std::vector<std::uint64_t> edge_masks;
-  for (std::size_t x = 0; x < safe_list.size(); ++x) {
-    for (std::size_t y = x + 1; y < safe_list.size(); ++y) {
-      const std::uint32_t a = safe_list[x];
-      const std::uint32_t b = safe_list[y];
+  // loops.  Row a of the CSR lists only the partners b > a: the pair pass
+  // visits rows in ascending order, so it meets a pair at its lower
+  // member's row first, and a second visit could only re-OR a mask that
+  // is already in.  Pool indices ascend with keys, so (a, b) is already
+  // (lo, hi).
+  wave.partner_offsets.assign(n + 1, 0);
+  wave.row_masks.assign(n, 0);
+  for (std::size_t a = 0; a < n; ++a) {
+    for (std::size_t b = a + 1; b < n && wave.masks[a] == 0; ++b) {
+      if (wave.masks[b] != 0) continue;
       const std::uint64_t mask =
           pair_interference_mask(cache_->pool_key(a), cache_->pool_key(b));
       if (mask == 0) continue;
-      edges.push_back({a, b});
-      edge_masks.push_back(mask);
+      wave.partner_idx.push_back(static_cast<std::uint32_t>(b));
+      wave.partner_masks.push_back(mask);
+      wave.row_masks[a] |= mask;
     }
-  }
-  // Symmetric CSR: count degrees, prefix-sum, fill both directions.
-  std::vector<std::uint32_t> degree(n, 0);
-  for (const auto& e : edges) {
-    ++degree[e[0]];
-    ++degree[e[1]];
-  }
-  wave.partner_offsets.assign(n + 1, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    wave.partner_offsets[i + 1] = wave.partner_offsets[i] + degree[i];
-  }
-  wave.partner_idx.resize(2 * edges.size());
-  wave.partner_masks.resize(2 * edges.size());
-  std::vector<std::uint32_t> cursor(wave.partner_offsets.begin(),
-                                    wave.partner_offsets.end() - 1);
-  for (std::size_t e = 0; e < edges.size(); ++e) {
-    const auto [a, b] = edges[e];
-    wave.partner_idx[cursor[a]] = b;
-    wave.partner_masks[cursor[a]++] = edge_masks[e];
-    wave.partner_idx[cursor[b]] = a;
-    wave.partner_masks[cursor[b]++] = edge_masks[e];
+    wave.partner_offsets[a + 1] =
+        static_cast<std::uint32_t>(wave.partner_idx.size());
+    if (wave.row_masks[a] != 0) {
+      wave.pair_words[a >> 6] |= std::uint64_t{1} << (a & 63);
+    }
   }
   cache_->install_wave(std::move(wave));
 }

@@ -100,10 +100,10 @@ class TestOracle {
   void prime_cache(std::span<const Mutation> pool) const;
 
   /// Builds the eager probe-wave table over `pool` (implies prime_cache):
-  /// per-member broken masks flattened for the SIMD gather kernel,
-  /// safe / repair-relevant bitsets with the localized-coverage predicate
-  /// folded in, and the sparse CSR of interfering safe pairs — every pair
-  /// hash the scenario can ever charge a pooled probe, paid once.  Pools
+  /// per-member broken masks, unsafe / repair-relevant bitsets with
+  /// the localized-coverage predicate folded in, and the sparse CSR of
+  /// interfering safe pairs with each row's OR-ed mask — every pair hash
+  /// the scenario can ever charge a pooled probe, paid once.  Pools
   /// larger than OracleCache::kMaxPairDimension skip the wave (the eager
   /// pair pass would not amortize); evaluate() works identically either
   /// way.  Same no-race contract as prime_cache; no suite runs counted.
@@ -128,7 +128,10 @@ class TestOracle {
   /// Bit-identical to evaluate() over the same mutations, counts one
   /// suite run, and books the same mask/pair cache-hit deltas a fully
   /// warm evaluate() would, so ledgers and telemetry cannot tell the
-  /// paths apart.
+  /// paths apart.  Word-parallel over the patch's membership bitset: it
+  /// walks only the partner rows of interfering members, skips a row
+  /// whose tests are already all broken, and stops once every test is
+  /// (DESIGN.md §8.2).  Safe to call from many threads at once.
   [[nodiscard]] Evaluation evaluate_pooled(
       std::span<const std::uint32_t> pool_indices) const;
 

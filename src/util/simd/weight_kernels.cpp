@@ -1,7 +1,6 @@
 #include "util/simd/weight_kernels.hpp"
 
 #include <atomic>
-#include <bit>
 #include <cmath>
 #include <cstdlib>
 
@@ -53,22 +52,6 @@ void scalar_materialize_counts(double* dst, const std::uint32_t* src,
   }
 }
 
-std::uint64_t scalar_mask_or_gather(const std::uint64_t* masks,
-                                    const std::uint32_t* idx, std::size_t n) {
-  std::uint64_t acc = 0;
-  for (std::size_t i = 0; i < n; ++i) acc |= masks[idx[i]];
-  return acc;
-}
-
-std::size_t scalar_popcount_and(const std::uint64_t* a, const std::uint64_t* b,
-                                std::size_t n) {
-  std::size_t total = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    total += static_cast<std::size_t>(std::popcount(a[i] & b[i]));
-  }
-  return total;
-}
-
 double scalar_fenwick_rebuild(double* w, double* tree, std::size_t n,
                               double divisor) {
   return detail::fenwick_rebuild_impl(
@@ -88,8 +71,6 @@ constexpr WeightKernels kScalarKernels = {
     scalar_scale_divide,
     detail::materialize_affine_portable,
     scalar_materialize_counts,
-    scalar_mask_or_gather,
-    scalar_popcount_and,
     scalar_fenwick_rebuild,
     "scalar",
 };

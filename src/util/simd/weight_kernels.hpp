@@ -67,19 +67,6 @@ struct WeightKernels {
   /// conversion is exact; the signed-lane AVX2 convert requires the bound).
   void (*materialize_counts)(double* dst, const std::uint32_t* src,
                              std::size_t n, double denom);
-  /// OR-reduction of gathered 64-bit test masks: returns
-  /// masks[idx[0]] | masks[idx[1]] | ... | masks[idx[n-1]].  Bitwise OR is
-  /// exact and order-free, so the gathered AVX2 fold is trivially
-  /// bit-identical to the scalar loop.  The probe wave's "broken tests"
-  /// accumulation (DESIGN.md §14) runs on this.
-  std::uint64_t (*mask_or_gather)(const std::uint64_t* masks,
-                                  const std::uint32_t* idx, std::size_t n);
-  /// Sum of popcount(a[i] & b[i]) over i — bitset intersection
-  /// cardinality.  Integer AND + population count are exact, so dispatch
-  /// cannot perturb the result.  The probe wave counts safe / relevant
-  /// patch members against pool-membership bitmaps with this.
-  std::size_t (*popcount_and)(const std::uint64_t* a, const std::uint64_t* b,
-                              std::size_t n);
   /// The fused renormalize → Fenwick-rebuild pass: divides w by `divisor`
   /// in place (skipped exactly when divisor == 1.0), rebuilds the 1-based
   /// Fenwick tree (`tree` must hold n + 1 doubles; prior contents ignored)

@@ -15,8 +15,6 @@
 //                     == std::max_element's first occurrence (no NaNs).
 //   scale_divide /    one IEEE op sequence per element (vdivpd, vmulpd,
 //   materialize_*     vaddpd — never vfmadd), so lanes equal scalar ops.
-//   mask_or_gather /  pure integer bit ops (gather-OR, AND + popcnt):
-//   popcount_and      exact on every path, identical by construction.
 //   fenwick_rebuild   shared scalar construction (detail::
 //                     fenwick_rebuild_impl); only the 4-wide divide is
 //                     vectorized.
@@ -26,7 +24,6 @@
 
 #include <immintrin.h>
 
-#include <bit>
 #include <cmath>
 
 namespace mwr::util::simd {
@@ -160,49 +157,6 @@ void avx2_materialize_counts(double* dst, const std::uint32_t* src,
   }
 }
 
-std::uint64_t avx2_mask_or_gather(const std::uint64_t* masks,
-                                  const std::uint32_t* idx, std::size_t n) {
-  __m256i acc = _mm256_setzero_si256();
-  const std::size_t n4 = n & ~std::size_t{3};
-  for (std::size_t i = 0; i < n4; i += 4) {
-    const __m128i lanes =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(idx + i));
-    acc = _mm256_or_si256(
-        acc, _mm256_i32gather_epi64(
-                 reinterpret_cast<const long long*>(masks), lanes, 8));
-  }
-  alignas(32) std::uint64_t words[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(words), acc);
-  std::uint64_t result = words[0] | words[1] | words[2] | words[3];
-  for (std::size_t i = n4; i < n; ++i) result |= masks[idx[i]];
-  return result;
-}
-
-std::size_t avx2_popcount_and(const std::uint64_t* a, const std::uint64_t* b,
-                              std::size_t n) {
-  // No vector popcount below AVX-512: AND four words per iteration, then
-  // scalar popcnt each lane (integer ops are exact — identity is free).
-  std::size_t total = 0;
-  const std::size_t n4 = n & ~std::size_t{3};
-  alignas(32) std::uint64_t words[4];
-  for (std::size_t i = 0; i < n4; i += 4) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-    _mm256_store_si256(reinterpret_cast<__m256i*>(words),
-                       _mm256_and_si256(va, vb));
-    total += static_cast<std::size_t>(std::popcount(words[0])) +
-             static_cast<std::size_t>(std::popcount(words[1])) +
-             static_cast<std::size_t>(std::popcount(words[2])) +
-             static_cast<std::size_t>(std::popcount(words[3]));
-  }
-  for (std::size_t i = n4; i < n; ++i) {
-    total += static_cast<std::size_t>(std::popcount(a[i] & b[i]));
-  }
-  return total;
-}
-
 double avx2_fenwick_rebuild(double* w, double* tree, std::size_t n,
                             double divisor) {
   return detail::fenwick_rebuild_impl(
@@ -220,8 +174,6 @@ constexpr WeightKernels kAvx2Kernels = {
     avx2_scale_divide,
     detail::materialize_affine_portable,
     avx2_materialize_counts,
-    avx2_mask_or_gather,
-    avx2_popcount_and,
     avx2_fenwick_rebuild,
     "avx2",
 };

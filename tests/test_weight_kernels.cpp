@@ -179,53 +179,6 @@ TEST(WeightKernelsIdentity, MaterializeCounts) {
   }
 }
 
-TEST(WeightKernelsIdentity, MaskOrGather) {
-  DispatchRestore restore;
-  const Tables t = tables();
-  for (const std::size_t n : kSizes) {
-    // A mask table larger than any index sweep, plus an index sequence with
-    // repeats and out-of-order jumps — the probe-wave access pattern.
-    const std::size_t table = 2048;
-    std::vector<std::uint64_t> masks(table);
-    util::RngStream rng(59 + n);
-    for (auto& m : masks) m = rng.next_u64();
-    std::vector<std::uint32_t> idx(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      idx[i] = static_cast<std::uint32_t>((i * 997 + 13) % table);
-    }
-    std::uint64_t expected = 0;
-    for (const std::uint32_t j : idx) expected |= masks[j];
-    EXPECT_EQ(t.scalar.mask_or_gather(masks.data(), idx.data(), n), expected)
-        << "mask_or_gather n=" << n;
-    EXPECT_EQ(t.dispatched.mask_or_gather(masks.data(), idx.data(), n),
-              expected)
-        << "mask_or_gather n=" << n;
-  }
-}
-
-TEST(WeightKernelsIdentity, PopcountAnd) {
-  DispatchRestore restore;
-  const Tables t = tables();
-  for (const std::size_t n : kSizes) {
-    std::vector<std::uint64_t> a(n);
-    std::vector<std::uint64_t> b(n);
-    util::RngStream rng(61 + n);
-    for (std::size_t i = 0; i < n; ++i) {
-      a[i] = rng.next_u64();
-      b[i] = rng.next_u64();
-    }
-    std::size_t expected = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      std::uint64_t word = a[i] & b[i];
-      for (; word != 0; word &= word - 1) ++expected;
-    }
-    EXPECT_EQ(t.scalar.popcount_and(a.data(), b.data(), n), expected)
-        << "popcount_and n=" << n;
-    EXPECT_EQ(t.dispatched.popcount_and(a.data(), b.data(), n), expected)
-        << "popcount_and n=" << n;
-  }
-}
-
 TEST(WeightKernelsIdentity, FenwickRebuild) {
   DispatchRestore restore;
   const Tables t = tables();
