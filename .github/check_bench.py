@@ -5,8 +5,8 @@ Dispatches on the artifact's "schema" field:
 
 mwr-bench-hot-paths-v2 (bench_hot_paths --json):
   the hot-path optimizations must still pay for themselves — the Fenwick
-  sampler at least 5x over the linear scan, cached oracle probes at least
-  3x over uncached, the full Table-II cycle at least 4x — and absolute
+  sampler at least 5x over the linear scan, pooled oracle probes at least
+  3x over the reference, the full Table-II cycle at least 4x — and absolute
   sampler cost must not regress more than 2x against the committed
   baseline.  The per-kernel rows (scalar vs runtime dispatch) carry no
   speedup floor: on a non-AVX2 runner both sides are the same code and the
@@ -67,7 +67,7 @@ HOT_PATHS_SECTIONS = [
 ]
 HOT_PATHS_SPEEDUP_FLOORS = {
     "sampler": 5.0,       # Fenwick draw vs linear scan at k = 2^14
-    "oracle": 3.0,        # cached vs uncached phase-2 probe
+    "oracle": 3.0,        # reference vs pooled-table phase-2 probe
     "table2_cycle": 4.0,  # full SoA-kernel cycle (n draws + fused update)
     # kernel_* rows: no floor — scalar == dispatched on non-AVX2 runners.
 }

@@ -4,9 +4,9 @@
 //   sampler       — one weighted draw from k = 2^14 options: the linear
 //                   RngStream::weighted_choice scan vs the Fenwick-tree
 //                   binary descent (util::FenwickSampler).
-//   oracle        — one MWRepair phase-2 probe (evaluate() of a pooled
-//                   32-edit patch): uncached re-hashing vs the primed
-//                   OracleCache (flat semantics + pair-interference cache).
+//   oracle        — one MWRepair phase-2 probe of a pooled 32-edit patch:
+//                   the reference TestOracle::evaluate() re-hashing vs
+//                   evaluate_pooled() over the oracle's per-pool table.
 //   table2_cycle  — one full Standard-MWU bandit cycle at Table II scale
 //                   (k = 2^14, n = 64 agents): per-agent linear scans vs
 //                   the sampler-backed StandardMwu::sample.
@@ -144,28 +144,32 @@ Section bench_oracle(std::size_t pool_size, std::size_t patch_size,
   auto spec = datasets::scenario_by_name("gzip-2009-08-16");
   spec.seed = seed;
   const apr::ProgramModel program(spec);
-  const apr::TestOracle uncached(program, /*enable_cache=*/false);
-  const apr::TestOracle cached(program, /*enable_cache=*/true);
+  const apr::TestOracle oracle(program);
 
   apr::PoolConfig pool_config;
   pool_config.target_size = pool_size;
   pool_config.seed = seed;
-  const auto pool = apr::MutationPool::precompute(uncached, pool_config);
-  cached.prime_cache(pool.mutations());
+  const auto pool = apr::MutationPool::precompute(oracle, pool_config);
+  oracle.prime_wave(pool.mutations());
 
   // One shared probe schedule (the same patches, in the same order, for
-  // both oracles) drawn the way MWRepair phase 2 draws them.
+  // both paths) drawn the way MWRepair phase 2 draws them: indexed draws
+  // consume the RNG exactly as sample_from_pool does.
+  std::vector<std::vector<std::uint32_t>> indices(probes);
   std::vector<apr::Patch> patches(probes);
   util::RngStream draw(seed ^ 0x3333);
-  for (auto& patch : patches) {
-    patch = apr::sample_from_pool(pool.mutations(), patch_size, draw);
+  for (std::size_t p = 0; p < probes; ++p) {
+    apr::sample_from_pool_indexed(pool.size(), patch_size, draw, indices[p]);
+    for (const std::uint32_t i : indices[p]) {
+      patches[p].push_back(pool.mutations()[i]);
+    }
   }
 
-  // Equivalence first: cached and uncached evaluation must be
+  // Equivalence first: pooled and reference evaluation must be
   // bit-identical on every probe or the timing below is meaningless.
-  for (const auto& patch : patches) {
-    if (!(uncached.evaluate(patch) == cached.evaluate(patch))) {
-      std::cerr << "FATAL: cached evaluate() diverged from uncached\n";
+  for (std::size_t p = 0; p < probes; ++p) {
+    if (!(oracle.evaluate(patches[p]) == oracle.evaluate_pooled(indices[p]))) {
+      std::cerr << "FATAL: evaluate_pooled() diverged from evaluate()\n";
       std::exit(1);
     }
   }
@@ -175,7 +179,7 @@ Section bench_oracle(std::size_t pool_size, std::size_t patch_size,
     util::WallTimer timer;
     std::uint64_t acc = 0;
     for (const auto& patch : patches) {
-      acc += uncached.evaluate(patch).fitness();
+      acc += oracle.evaluate(patch).fitness();
     }
     out.before_ns = timer.elapsed_seconds() * 1e9 / static_cast<double>(probes);
     out.checksum += acc;
@@ -183,8 +187,8 @@ Section bench_oracle(std::size_t pool_size, std::size_t patch_size,
   {
     util::WallTimer timer;
     std::uint64_t acc = 0;
-    for (const auto& patch : patches) {
-      acc += cached.evaluate(patch).fitness();
+    for (const auto& patch : indices) {
+      acc += oracle.evaluate_pooled(patch).fitness();
     }
     out.after_ns = timer.elapsed_seconds() * 1e9 / static_cast<double>(probes);
     out.checksum += acc;
@@ -406,7 +410,8 @@ void emit_json(const std::string& path, std::size_t k, std::size_t agents,
 
 int main(int argc, char** argv) {
   util::Cli cli("bench_hot_paths — before/after ns-per-op for the Fenwick "
-                "sampler, the oracle cache, and the full Table-II cycle");
+                "sampler, the pooled oracle table, and the full Table-II "
+                "cycle");
   util::add_standard_bench_flags(cli);
   cli.add_int("options", 1 << 14, "weighted-draw options (k)");
   cli.add_int("agents", 64, "agents per cycle (n)");
@@ -460,7 +465,7 @@ int main(int argc, char** argv) {
                    util::fmt_fixed(s.speedup(), 2) + "x"});
   };
   row("weighted draw (linear -> Fenwick)", sampler);
-  row("phase-2 probe (uncached -> cached)", oracle);
+  row("phase-2 probe (reference -> pooled)", oracle);
   row("Standard-MWU cycle", cycle);
   row("kernel pow_update (scalar -> simd)", kernel_update);
   row("kernel fenwick_rebuild (scalar -> simd)", kernel_normalize);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <vector>
 
 #include "apr/mutation.hpp"
 
@@ -13,9 +14,9 @@ ArmProbeOracle::ArmProbeOracle(const TestOracle& oracle,
     : oracle_(&oracle), pool_(&pool), repair_(config) {
   if (pool.empty())
     throw std::invalid_argument("ArmProbeOracle: empty mutation pool");
-  // Warm the pooled fast path before any fork: workers then share the
-  // memoized semantics read-only (copy-on-write) instead of re-hashing.
-  oracle.prime_cache(pool.mutations());
+  // Build the per-pool table before any fork: workers then share it
+  // read-only (copy-on-write) instead of re-hashing.
+  oracle.prime_wave(pool.mutations());
 }
 
 double ArmProbeOracle::sample(std::size_t option, util::RngStream& rng) const {
@@ -24,9 +25,12 @@ double ArmProbeOracle::sample(std::size_t option, util::RngStream& rng) const {
     throw std::out_of_range("ArmProbeOracle::sample: bad arm");
   const std::size_t count =
       std::min(repair_.count_for_arm(option), pool_->size());
-  const Patch patch = sample_from_pool(pool_->mutations(), count, rng);
+  // Indexed draws consume the RNG exactly as sample_from_pool does, and
+  // the oracle's table is this pool, so positions need no translation.
+  thread_local std::vector<std::uint32_t> patch;
+  sample_from_pool_indexed(pool_->size(), count, rng, patch);
   const double acceptance = rng.uniform();
-  const Evaluation evaluation = oracle_->evaluate(patch);
+  const Evaluation evaluation = oracle_->evaluate_pooled(patch);
   const bool fitness_kept =
       evaluation.fitness() >= oracle_->baseline_fitness();
   switch (config.reward) {

@@ -121,7 +121,12 @@ MwRepairConfig CampaignSession::bug_repair_config() const {
 void CampaignSession::open_bug_oracle() {
   const datasets::ScenarioSpec spec = bug_spec();
   if (services_ != nullptr) {
-    bug_lease_ = services_->oracle_for(spec);
+    // A resumed session re-acquires the base pool here, so its bug oracle
+    // is primed exactly as an uninterrupted one's.
+    if (!base_pool_) {
+      base_pool_ = services_->base_pool(base_, config_.pool).pool;
+    }
+    bug_lease_ = services_->oracle_for(spec, *base_pool_);
     return;
   }
   auto program = std::make_shared<const ProgramModel>(spec);
@@ -134,6 +139,7 @@ void CampaignSession::open_bug_oracle() {
 void CampaignSession::do_precompute() {
   if (services_ != nullptr) {
     const auto lease = services_->base_pool(base_, config_.pool);
+    base_pool_ = lease.pool;
     working_pool_ = *lease.pool;
     outcome_.precompute_runs = lease.precompute_runs;
   } else {

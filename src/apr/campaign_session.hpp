@@ -50,8 +50,8 @@ class ScenarioServices {
   /// A program + oracle pair; `program` owns the model `oracle` points
   /// into, so holders keep both alive together.  When `shared` is true
   /// the oracle is visible to other tenants: the lease owner has already
-  /// primed its cache, and the tenant must not re-prime it (prime_cache
-  /// racing evaluate() is undefined).
+  /// primed its per-pool table, and the tenant must not re-prime it
+  /// (prime_wave racing evaluate_pooled() is undefined).
   struct OracleLease {
     std::shared_ptr<const ProgramModel> program;
     std::shared_ptr<const TestOracle> oracle;
@@ -66,8 +66,11 @@ class ScenarioServices {
   virtual ~ScenarioServices() = default;
 
   /// Program + oracle for `spec` (the full spec, bug_id and grown test
-  /// count included).
-  virtual OracleLease oracle_for(const datasets::ScenarioSpec& spec) = 0;
+  /// count included), its per-pool table primed from exactly
+  /// `base_pool` — the campaign's phase-1 pool, of which every working
+  /// pool is a subset.
+  virtual OracleLease oracle_for(const datasets::ScenarioSpec& spec,
+                                 const MutationPool& base_pool) = 0;
 
   /// The precomputed base pool for (spec, config).  Called once per
   /// campaign with the campaign's base spec.
@@ -188,6 +191,9 @@ class CampaignSession {
   std::size_t probes_last_step_ = 0;
 
   MutationPool working_pool_;
+  // The services' base pool (null for private resources, or until first
+  // needed after a resume): what shared bug oracles are primed from.
+  std::shared_ptr<const MutationPool> base_pool_;
   ScenarioServices::OracleLease bug_lease_;
   std::unique_ptr<RepairSession> repair_;
   BugOutcome current_bug_;

@@ -2,21 +2,7 @@
 
 #include <stdexcept>
 
-#include "util/rng.hpp"
-
 namespace mwr::apr {
-
-std::uint64_t stable_hash(std::uint64_t seed, std::uint64_t a, std::uint64_t b,
-                          std::uint64_t c) noexcept {
-  util::SplitMix64 sm(seed ^ (a * 0x9e3779b97f4a7c15ULL) ^
-                      (b * 0xc2b2ae3d27d4eb4fULL) ^ (c * 0x165667b19e3779f9ULL));
-  sm.next();
-  return sm.next();
-}
-
-double hash_to_unit(std::uint64_t h) noexcept {
-  return static_cast<double>(h >> 11) * 0x1.0p-53;
-}
 
 ProgramModel::ProgramModel(datasets::ScenarioSpec spec)
     : spec_(std::move(spec)) {

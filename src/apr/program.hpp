@@ -14,18 +14,29 @@
 #include <vector>
 
 #include "datasets/scenario.hpp"
+#include "util/rng.hpp"
 
 namespace mwr::apr {
 
 /// Stable hashing for the scenario's deterministic semantics: the same
 /// (seed, parts...) always produces the same 64-bit value, independent of
 /// platform.  Used for coverage, safety, interference, and repair relevance.
-[[nodiscard]] std::uint64_t stable_hash(std::uint64_t seed, std::uint64_t a,
-                                        std::uint64_t b = 0,
-                                        std::uint64_t c = 0) noexcept;
+/// Inline: the oracle's pair passes call it millions of times per run.
+[[nodiscard]] inline std::uint64_t stable_hash(std::uint64_t seed,
+                                               std::uint64_t a,
+                                               std::uint64_t b = 0,
+                                               std::uint64_t c = 0) noexcept {
+  util::SplitMix64 sm(seed ^ (a * 0x9e3779b97f4a7c15ULL) ^
+                      (b * 0xc2b2ae3d27d4eb4fULL) ^
+                      (c * 0x165667b19e3779f9ULL));
+  sm.next();
+  return sm.next();
+}
 
 /// Maps a stable hash to a uniform double in [0, 1).
-[[nodiscard]] double hash_to_unit(std::uint64_t h) noexcept;
+[[nodiscard]] inline double hash_to_unit(std::uint64_t h) noexcept {
+  return static_cast<double>(h >> 11) * 0x1.0p-53;
+}
 
 /// The mutable program under repair.
 class ProgramModel {

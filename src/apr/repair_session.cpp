@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <span>
 #include <stdexcept>
 
 #include "core/serialization.hpp"
@@ -34,11 +35,7 @@ RepairSession::RepairSession(const MwRepairConfig& config,
       trajectory_hash_(kFnvOffset) {
   if (pool.empty())
     throw std::invalid_argument("RepairSession: empty mutation pool");
-  // Single-tenant path: memoize the pool's semantics up front, exactly as
-  // the monolithic MwRepair::run always did.  Multi-tenant oracles are
-  // primed once by their owner instead (prime == false) because
-  // prime_cache must not race concurrent evaluate() calls.
-  if (prime) oracle.prime_cache(pool.mutations());
+  if (prime) oracle.prime_wave(pool.mutations());
 
   const MwRepairConfig& cfg = repair_.config();
   core::MwuConfig mwu_config;
@@ -56,28 +53,21 @@ RepairSession::RepairSession(const MwRepairConfig& config,
   phase_seconds_ = &metrics.histogram("phase.online.seconds");
   repaired_gauge_ = &metrics.gauge("repair.repaired");
 
-  // Wave fast path: usable when the shared oracle carries an eager wave
-  // table and every working-pool member is byte-equal to the primed pool
-  // member its key names.  Key equality alone is not enough — a swap's
-  // key orders its operands, and the wave's relevance bits bake in the
-  // coverage of the pool member's concrete target.  The map is monotone
-  // (both pools are key-sorted), so ascending working indices translate
-  // to ascending primed indices and the canonical patch order survives.
-  if (oracle.wave_ready()) {
-    const std::span<const Mutation> wave_pool = oracle.wave_pool();
-    wave_map_.reserve(pool.size());
-    bool mapped = true;
-    for (const Mutation& m : pool.mutations()) {
-      const std::size_t idx = oracle.pool_index_of(m);
-      if (idx == OracleCache::npos || !(wave_pool[idx] == m)) {
-        mapped = false;
-        break;
-      }
-      wave_map_.push_back(static_cast<std::uint32_t>(idx));
-    }
-    wave_fast_path_ = mapped;
-    wave_identity_ = mapped && wave_map_.size() == wave_pool.size();
-    if (!mapped) wave_map_.clear();
+  // Map each working member onto the table member equal to it.  Key
+  // equality alone is not enough — a swap's key orders its operands, and
+  // the table's relevance bits bake in the coverage of its member's
+  // concrete target.  Both pools are key-sorted, so one merge walk does;
+  // an oracle without a table has no members to map onto.
+  const std::span<const Mutation> table = oracle.wave_pool();
+  table_index_.reserve(pool.size());
+  std::size_t t = 0;
+  for (const Mutation& m : pool.mutations()) {
+    while (t < table.size() && table[t].key() < m.key()) ++t;
+    if (t == table.size() || !(table[t] == m))
+      throw std::invalid_argument(
+          "RepairSession: working pool member missing from the oracle's "
+          "pooled table");
+    table_index_.push_back(static_cast<std::uint32_t>(t++));
   }
 }
 
@@ -90,42 +80,31 @@ void RepairSession::finish(bool repaired) {
 std::size_t RepairSession::begin_cycle() {
   if (done_) return 0;
   staged_arms_ = strategy_->sample(rng_);                // MWU_Sample
-  patches_.clear();
-  index_patches_.clear();
+  const std::size_t n = staged_arms_.size();
+  index_patches_.resize(n);
   acceptance_.clear();
-  for (const std::size_t arm : staged_arms_) {
+  for (std::size_t j = 0; j < n; ++j) {
     const std::size_t count =
-        std::min(repair_.count_for_arm(arm), pool_->size());
-    if (wave_fast_path_) {
-      // Identical without-replacement draws, sorted in index space: pool
-      // order is key order, so this names exactly the canonical patch
-      // sample_from_pool would materialize (same RNG consumption, same
-      // patch bytes) without constructing Mutations or sorting them.
-      index_patches_.emplace_back();
-      sample_from_pool_indexed(pool_->size(), count, rng_,
-                               index_patches_.back());
-    } else {
-      patches_.push_back(sample_from_pool(pool_->mutations(), count, rng_));
-    }
+        std::min(repair_.count_for_arm(staged_arms_[j]), pool_->size());
+    // Without-replacement draws emitted as ascending working-pool indices:
+    // pool order is key order, so this names exactly the canonical patch
+    // sample_from_pool would build (same RNG consumption), which the
+    // monotone map then names in the oracle's table.
+    std::vector<std::uint32_t>& patch = index_patches_[j];
+    sample_from_pool_indexed(pool_->size(), count, rng_, patch);
+    for (std::uint32_t& i : patch) i = table_index_[i];
     acceptance_.push_back(rng_.uniform());
   }
   // Fold this cycle's draws into the trajectory fingerprint before the
   // (order-free) evaluations, so the hash pins the stochastic sequence.
-  const std::size_t n = staged_arms_.size();
+  const std::span<const Mutation> table = oracle_->wave_pool();
   trajectory_hash_ = fnv_fold(trajectory_hash_, outcome_.iterations);
   for (std::size_t j = 0; j < n; ++j) {
     trajectory_hash_ = fnv_fold(trajectory_hash_, staged_arms_[j]);
     trajectory_hash_ = fnv_fold(trajectory_hash_,
                                 std::bit_cast<std::uint64_t>(acceptance_[j]));
-    if (wave_fast_path_) {
-      for (const std::uint32_t w : index_patches_[j]) {
-        trajectory_hash_ =
-            fnv_fold(trajectory_hash_, pool_->mutations()[w].key());
-      }
-    } else {
-      for (const Mutation& m : patches_[j]) {
-        trajectory_hash_ = fnv_fold(trajectory_hash_, m.key());
-      }
+    for (const std::uint32_t i : index_patches_[j]) {
+      trajectory_hash_ = fnv_fold(trajectory_hash_, table[i].key());
     }
   }
   evaluations_.assign(n, Evaluation{});
@@ -133,24 +112,6 @@ std::size_t RepairSession::begin_cycle() {
   probes_last_cycle_ = n;
   probe_counter_->add(n);
   return n;
-}
-
-void RepairSession::evaluate_staged(std::size_t j) {
-  if (!wave_fast_path_) {
-    evaluations_[j] = oracle_->evaluate(patches_[j]);
-    return;
-  }
-  if (wave_identity_) {
-    evaluations_[j] = oracle_->evaluate_pooled(index_patches_[j]);
-    return;
-  }
-  // Translate working-pool positions to primed positions (monotone map:
-  // ascending stays ascending).
-  thread_local std::vector<std::uint32_t> mapped;
-  const std::vector<std::uint32_t>& widx = index_patches_[j];
-  mapped.resize(widx.size());
-  for (std::size_t i = 0; i < widx.size(); ++i) mapped[i] = wave_map_[widx[i]];
-  evaluations_[j] = oracle_->evaluate_pooled(mapped);
 }
 
 bool RepairSession::finish_cycle(double elapsed_seconds) {
@@ -162,19 +123,15 @@ bool RepairSession::finish_cycle(double elapsed_seconds) {
   rewards_.assign(n, 0.0);
   for (std::size_t j = 0; j < n; ++j) {
     const Evaluation& e = evaluations_[j];
-    const std::size_t patch_size =
-        wave_fast_path_ ? index_patches_[j].size() : patches_[j].size();
+    const std::size_t patch_size = index_patches_[j].size();
     if (e.is_repair()) {                                 // terminate early
       outcome_.repaired = true;
-      if (wave_fast_path_) {
-        // Materialize the winning patch (ascending indices over the
-        // key-sorted pool == the canonical Patch).
-        outcome_.patch.clear();
-        for (const std::uint32_t w : index_patches_[j]) {
-          outcome_.patch.push_back(pool_->mutations()[w]);
-        }
-      } else {
-        outcome_.patch = patches_[j];
+      // Ascending table positions over the key-sorted pool name the
+      // canonical Patch.
+      const std::span<const Mutation> table = oracle_->wave_pool();
+      outcome_.patch.clear();
+      for (const std::uint32_t i : index_patches_[j]) {
+        outcome_.patch.push_back(table[i]);
       }
       outcome_.iterations += 1;
       outcome_.preferred_count = patch_size;
@@ -223,10 +180,13 @@ bool RepairSession::step(parallel::ThreadPool* workers) {
   if (done_) return true;
   const obs::ScopedTimer cycle_timer(*cycle_seconds_);
   const std::size_t n = begin_cycle();
+  const auto evaluate = [this](std::size_t j) {
+    evaluations_[j] = oracle_->evaluate_pooled(index_patches_[j]);
+  };
   if (workers != nullptr) {
-    workers->parallel_for_index(n, [&](std::size_t j) { evaluate_staged(j); });
+    workers->parallel_for_index(n, evaluate);
   } else {
-    for (std::size_t j = 0; j < n; ++j) evaluate_staged(j);
+    for (std::size_t j = 0; j < n; ++j) evaluate(j);
   }
   return finish_cycle(cycle_timer.elapsed_seconds());
 }

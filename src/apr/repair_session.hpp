@@ -51,12 +51,16 @@ class RepairSession {
     std::uint64_t trajectory_hash = 0;
   };
 
-  /// `oracle` and `pool` must outlive the session.  When `prime` is true
-  /// (the single-tenant default) the pool's semantics are memoized into
-  /// the oracle cache up front, exactly as MwRepair::run() always did;
-  /// servers sharing one oracle across tenants pass false and prime once
-  /// centrally (re-priming with a diverged working pool would race
-  /// concurrent evaluations — see serve/oracle_hub.hpp).
+  /// `oracle` and `pool` must outlive the session.  Probes are drawn in
+  /// pool index space and evaluated through the oracle's per-pool table
+  /// (TestOracle::prime_wave).  When `prime` is true (the single-tenant
+  /// default) the session builds that table from `pool` itself; servers
+  /// sharing one oracle across tenants pass false and prime it once
+  /// centrally with a pool that contains every working member (re-priming
+  /// would race concurrent evaluations — see serve/oracle_hub.hpp).  Each
+  /// member of `pool` is mapped to the table member equal to it; throws
+  /// std::invalid_argument when one is missing.  The oracle must not be
+  /// re-primed with another pool while the session runs.
   RepairSession(const MwRepairConfig& config, const TestOracle& oracle,
                 const MutationPool& pool, bool prime = true);
 
@@ -66,14 +70,6 @@ class RepairSession {
   /// are no-ops returning true.  `workers` optionally fans the suite runs
   /// out (bit-identical for any worker count, as in MwRepair::run).
   bool step(parallel::ThreadPool* workers = nullptr);
-
-  /// True when this session evaluates probes through the oracle's eager
-  /// wave table (index-space sampling, no per-patch sort or cache
-  /// probing).  Purely an execution detail: trajectories are
-  /// bit-identical either way.
-  [[nodiscard]] bool wave_fast_path() const noexcept {
-    return wave_fast_path_;
-  }
 
   [[nodiscard]] bool done() const noexcept { return done_; }
   /// Valid once done(); partially filled (probes/iterations) before that.
@@ -104,17 +100,15 @@ class RepairSession {
   void restore(const State& state);
 
  private:
-  // One cycle of step(), in three parts so the suite runs can fan out:
-  //   begin_cycle()       every stochastic draw of the cycle (arm sample,
-  //                       patch draws, acceptance) and its trajectory
-  //                       folds, before any evaluation; returns the
-  //                       number of probes (0 when already done).
-  //   evaluate_staged(j)  evaluates probe j.  Pure and memoized: callable
-  //                       concurrently for distinct j, in any order.
-  //   finish_cycle()      rewards, MWU update, early-repair exit, budget
-  //                       check.  `elapsed_seconds` is telemetry only.
+  // One cycle of step(), split around the suite runs so they can fan out
+  // (each is a pure table read, callable concurrently in any order):
+  //   begin_cycle()   every stochastic draw of the cycle (arm sample,
+  //                   patch draws, acceptance) and its trajectory folds,
+  //                   before any evaluation; returns the number of probes
+  //                   (0 when already done).
+  //   finish_cycle()  rewards, MWU update, early-repair exit, budget
+  //                   check.  `elapsed_seconds` is telemetry only.
   std::size_t begin_cycle();
-  void evaluate_staged(std::size_t j);
   bool finish_cycle(double elapsed_seconds);
   void finish(bool repaired);
 
@@ -130,17 +124,14 @@ class RepairSession {
   RepairOutcome outcome_;
   double online_seconds_ = 0.0;      // accumulated across steps.
 
-  // Wave fast path (serve): working-pool position -> primed-pool position.
-  // Usable only when every working member is byte-equal to the pool member
-  // its key names (swap orientation matters for coverage); monotone, since
-  // both pools are key-sorted.
-  bool wave_fast_path_ = false;
-  bool wave_identity_ = false;  ///< map is the identity — skip translation.
-  std::vector<std::uint32_t> wave_map_;
+  // Working-pool position -> position in the oracle's primed pool.
+  // Monotone (both pools are key-sorted), so ascending working indices
+  // stay ascending: the canonical patch order survives the translation.
+  std::vector<std::uint32_t> table_index_;
 
-  // Scratch reused across cycles (same vectors the monolithic loop kept).
-  std::vector<Patch> patches_;
-  std::vector<std::vector<std::uint32_t>> index_patches_;  // wave path.
+  // Scratch reused across cycles.  Patches are ascending primed-pool
+  // positions; Mutations are built only for a winning patch.
+  std::vector<std::vector<std::uint32_t>> index_patches_;
   std::vector<std::size_t> staged_arms_;
   std::vector<double> acceptance_;
   std::vector<Evaluation> evaluations_;

@@ -24,30 +24,27 @@
 //                   contains at least min_repair_edits relevant mutations.
 //                   A *repair* passes the bug test AND the required suite.
 //
-// Because the semantics are a pure function of (spec, mutation key), the
-// oracle memoizes them in an OracleCache (on by default; construct with
-// enable_cache = false for the uncached reference path): per-mutation
-// masks and relevance are computed once, and after prime_cache() installs
-// a mutation pool, phase-2 probes skip all per-mutation re-hashing and
-// resolve pair interference through a lock-free bounded cache.  Cache
-// traffic is exported as the obs counters oracle.mask_cache_{hits,misses}
-// and oracle.pair_cache_{hits,misses}.  Cached and uncached evaluation are
-// bit-identical (golden-tested).
+// Because the semantics are a pure function of (spec, mutation key), a
+// pool known in advance can be evaluated once, eagerly: prime_wave() builds
+// one per-pool table (per-member broken masks, unsafe / repair-relevant
+// bitsets, and for pools up to kMaxPairDimension the sparse CSR of
+// interfering safe pairs), and evaluate_pooled() then answers a patch named
+// by ascending pool positions from that table alone (DESIGN.md §8.2).
+// evaluate() is the plain uncached reference for arbitrary patches; the
+// two are bit-identical (golden-tested in tests/test_oracle_cache.cpp).
 //
-// Every evaluate() call counts one test-suite run — the unit in which the
-// paper measures APR cost (§IV-G) — via a relaxed atomic, so concurrent
-// probes from the thread pool can share one oracle.
+// Every evaluate() or evaluate_pooled() call counts one test-suite run —
+// the unit in which the paper measures APR cost (§IV-G) — via a relaxed
+// atomic, so concurrent probes from the thread pool can share one oracle.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <span>
+#include <vector>
 
 #include "apr/mutation.hpp"
-#include "apr/oracle_cache.hpp"
 #include "apr/program.hpp"
-#include "obs/metrics.hpp"
 
 namespace mwr::apr {
 
@@ -72,11 +69,17 @@ struct Evaluation {
 
 class TestOracle {
  public:
-  /// `enable_cache = false` disables all memoization — the reference path
-  /// the golden equivalence tests and the hot-path bench compare against.
-  explicit TestOracle(const ProgramModel& program, bool enable_cache = true);
+  /// Pools up to this many members get the interference CSR in their
+  /// table; above it evaluate_pooled hashes the patch's safe pairs
+  /// directly (an eager pair pass over a larger pool costs more to build
+  /// than a whole run saves — DESIGN.md §8.2).
+  static constexpr std::size_t kMaxPairDimension = 2048;
 
-  /// Runs the (simulated) suite on original-program-plus-patch.
+  explicit TestOracle(const ProgramModel& program);
+
+  /// Runs the (simulated) suite on original-program-plus-patch.  The
+  /// uncached reference path: every call re-derives each member's
+  /// breakage and every safe pair's interference.
   [[nodiscard]] Evaluation evaluate(std::span<const Mutation> patch) const;
 
   /// Fitness of the unpatched program: passes all required tests, fails the
@@ -93,60 +96,37 @@ class TestOracle {
   [[nodiscard]] bool is_safe(const Mutation& m) const;
   [[nodiscard]] bool is_repair_relevant(const Mutation& m) const;
 
-  /// Eagerly memoizes the pooled mutations' masks/relevance and installs
-  /// the lock-free pooled fast path (flat semantics array + bounded pair
-  /// cache).  No-op when the cache is disabled or the same pool is already
-  /// primed.  Must not race evaluate(); does not count suite runs.
-  void prime_cache(std::span<const Mutation> pool) const;
-
-  /// Builds the eager probe-wave table over `pool` (implies prime_cache):
-  /// per-member broken masks, unsafe / repair-relevant bitsets with
-  /// the localized-coverage predicate folded in, and the sparse CSR of
-  /// interfering safe pairs with each row's OR-ed mask — every pair hash
-  /// the scenario can ever charge a pooled probe, paid once.  Pools
-  /// larger than OracleCache::kMaxPairDimension skip the wave (the eager
-  /// pair pass would not amortize); evaluate() works identically either
-  /// way.  Same no-race contract as prime_cache; no suite runs counted.
-  /// Opt-in: only multi-tenant owners (serve's OracleHub) call this —
-  /// single-shot runs keep the lazy path and its cache-counter semantics.
+  /// Builds the per-pool table over `pool` (key-sorted and unique, the
+  /// MutationPool invariant; throws std::invalid_argument otherwise):
+  /// per-member broken masks, unsafe / repair-relevant bitsets with the
+  /// localized-coverage predicate folded in, and — for pools of at most
+  /// kMaxPairDimension members — the sparse CSR of interfering safe pairs
+  /// with each row's OR-ed mask.  A no-op when the same pool is already
+  /// primed; a different pool replaces the table.  Must not race
+  /// evaluate_pooled(); counts no suite runs.
   void prime_wave(std::span<const Mutation> pool) const;
 
-  /// True once prime_wave has installed the table for the current pool.
+  /// True once prime_wave has installed a table.
   [[nodiscard]] bool wave_ready() const noexcept {
-    return cache_ && cache_->wave_ready();
+    return wave_ready_.load(std::memory_order_acquire);
   }
 
-  /// The wave's primed pool members (valid only while wave_ready()) —
-  /// what mappers compare against for full-equality verification.
+  /// The primed pool members (valid only while wave_ready()) — what
+  /// callers map their working pools onto by full Mutation equality.
   [[nodiscard]] std::span<const Mutation> wave_pool() const noexcept {
-    return cache_->wave().pool;
+    return wave_.pool;
   }
 
-  /// Pooled twin of evaluate() for wave-ready oracles: `pool_indices`
-  /// names the patch as strictly ascending positions in the primed pool
-  /// (the canonical patch in index space — see sample_from_pool_indexed).
-  /// Bit-identical to evaluate() over the same mutations, counts one
-  /// suite run, and books the same mask/pair cache-hit deltas a fully
-  /// warm evaluate() would, so ledgers and telemetry cannot tell the
-  /// paths apart.  Word-parallel over the patch's membership bitset: it
-  /// walks only the partner rows of interfering members, skips a row
-  /// whose tests are already all broken, and stops once every test is
-  /// (DESIGN.md §8.2).  Safe to call from many threads at once.
+  /// evaluate() for a patch named by strictly ascending positions in the
+  /// primed pool (the canonical patch in index space — see
+  /// sample_from_pool_indexed).  Bit-identical to evaluate() over the same
+  /// mutations and counts one suite run.  Word-parallel over the patch's
+  /// membership bitset: it walks only the partner rows of interfering
+  /// members (or, above kMaxPairDimension, hashes the safe members' pairs),
+  /// skips work that cannot break a new test, and stops once every test is
+  /// broken (DESIGN.md §8.2).  Safe to call from many threads at once.
   [[nodiscard]] Evaluation evaluate_pooled(
       std::span<const std::uint32_t> pool_indices) const;
-
-  /// Pool position of `m` in the primed pool, or OracleCache::npos when
-  /// not primed / not pooled.  Key lookup only — callers mapping working
-  /// sets must verify full Mutation equality against the pool member (a
-  /// swap's key orders its operands; coverage depends on the concrete
-  /// target).
-  [[nodiscard]] std::size_t pool_index_of(const Mutation& m) const {
-    return cache_ ? cache_->pool_index(m.key()) : OracleCache::npos;
-  }
-
-  [[nodiscard]] bool cache_enabled() const noexcept {
-    return cache_ != nullptr;
-  }
 
   /// Total suite runs so far (the cost currency of §IV-G).
   [[nodiscard]] std::uint64_t suite_runs() const noexcept {
@@ -158,11 +138,31 @@ class TestOracle {
   }
 
  private:
-  /// The raw (uncached) semantics computations.
+  /// Everything a pooled-patch evaluation needs, laid out for a
+  /// word-parallel pass over pool-membership bitsets.  The CSR stores each
+  /// interfering safe pair once, in the row of its lower index; it is
+  /// empty for pools above kMaxPairDimension.
+  struct WaveTable {
+    std::vector<Mutation> pool;                 ///< the primed members.
+    std::vector<std::uint64_t> masks;           ///< broken mask per member.
+    std::vector<std::uint64_t> unsafe_words;    ///< bitset: broken_mask != 0.
+    std::vector<std::uint64_t> relevant_words;  ///< bitset: counts toward
+                                                ///< the repair threshold.
+    std::vector<std::uint64_t> pair_words;      ///< bitset: nonempty CSR
+                                                ///< row.
+    std::vector<std::uint32_t> partner_offsets; ///< CSR row starts, size n+1.
+    std::vector<std::uint32_t> partner_idx;     ///< interfering partner,
+                                                ///< above the row's index.
+    std::vector<std::uint64_t> partner_masks;   ///< that pair's broken bit.
+    std::vector<std::uint64_t> row_masks;       ///< OR of each row's
+                                                ///< partner_masks.
+    std::uint64_t full_mask = 0;                ///< one bit per required
+                                                ///< test (~0 when T = 64).
+  };
+
   [[nodiscard]] std::uint64_t broken_mask_single(const Mutation& m) const;
-  [[nodiscard]] MutationSemantics compute_semantics(const Mutation& m) const;
-  /// Cached when possible; counts one mask-cache hit or miss.
-  [[nodiscard]] MutationSemantics semantics_for(const Mutation& m) const;
+  /// Whether a safe mutation counts toward the repair threshold.
+  [[nodiscard]] bool relevant_if_safe(const Mutation& m) const;
   [[nodiscard]] std::uint64_t pair_interference_mask(std::uint64_t lo,
                                                      std::uint64_t hi) const;
 
@@ -172,19 +172,14 @@ class TestOracle {
   double per_test_break_rate_ = 0.0;
   // The relevance-hash threshold, hoisted out of is_repair_relevant: the
   // plain repair_rate, or the region-rescaled rate when relevance is
-  // localized (constant per scenario either way, so the hash check is a
-  // pure function of the mutation key and therefore cacheable).
+  // localized (constant per scenario either way).
   double relevance_rate_ = 0.0;
   mutable std::atomic<std::uint64_t> suite_runs_{0};
 
-  // Memoization (null when disabled).  The cache only ever stores pure
-  // functions of the spec, so mutating it from const evaluate() preserves
-  // logical constness.
-  mutable std::unique_ptr<OracleCache> cache_;
-  obs::Counter* mask_hits_ = nullptr;
-  obs::Counter* mask_misses_ = nullptr;
-  obs::Counter* pair_hits_ = nullptr;
-  obs::Counter* pair_misses_ = nullptr;
+  // The per-pool table.  It only ever stores pure functions of the spec,
+  // so building it from const prime_wave() preserves logical constness.
+  mutable WaveTable wave_;
+  mutable std::atomic<bool> wave_ready_{false};
 };
 
 }  // namespace mwr::apr

@@ -5,6 +5,7 @@
 #include <string>
 #include <utility>
 
+#include "apr/program.hpp"
 #include "obs/registry.hpp"
 
 namespace mwr::serve {
@@ -32,12 +33,9 @@ std::uint64_t fnv_fold_double(std::uint64_t h, double v) noexcept {
   return fnv_fold(h, std::bit_cast<std::uint64_t>(v));
 }
 
-/// Identity of the *program*: every spec field except the bug targeted
-/// and the suite size.  Pools precomputed for any bug of the program can
-/// warm an oracle for any other bug of the same program (coverage,
-/// safety, and interference are program properties — the invariant the
-/// whole amortization story rests on).
-std::uint64_t program_fingerprint(const datasets::ScenarioSpec& spec) {
+/// Identity of one scenario: every spec field, the bug targeted and the
+/// suite size included.
+std::uint64_t spec_fingerprint(const datasets::ScenarioSpec& spec) {
   std::uint64_t h = kFnvOffset;
   h = fnv_fold_string(h, spec.name);
   h = fnv_fold_string(h, spec.language);
@@ -51,23 +49,29 @@ std::uint64_t program_fingerprint(const datasets::ScenarioSpec& spec) {
   h = fnv_fold_double(h, spec.value_noise);
   h = fnv_fold(h, spec.seed);
   h = fnv_fold(h, spec.relevance_localized ? 1u : 0u);
-  return h;
-}
-
-/// Identity of one oracle: the program plus (suite size, bug).
-std::uint64_t oracle_fingerprint(const datasets::ScenarioSpec& spec) {
-  std::uint64_t h = program_fingerprint(spec);
   h = fnv_fold(h, spec.tests);
   h = fnv_fold(h, spec.bug_id);
   return h;
 }
 
-/// Identity of one precomputed base pool: the oracle it was validated
+/// Identity of one oracle: the scenario plus the exact members of the pool
+/// its table is primed from.  Full members, not keys: a swap's operand
+/// orientation changes the table's relevance bits.
+std::uint64_t oracle_fingerprint(const datasets::ScenarioSpec& spec,
+                                 const apr::MutationPool& pool) {
+  std::uint64_t h = fnv_fold(spec_fingerprint(spec), pool.size());
+  for (const apr::Mutation& m : pool.mutations()) {
+    h = apr::stable_hash(h, m.key(), m.target);
+  }
+  return h;
+}
+
+/// Identity of one precomputed base pool: the scenario it was validated
 /// against plus the pool-shaping knobs.  `threads` is excluded — the
 /// precompute result is bit-identical for any worker count.
 std::uint64_t pool_fingerprint(const datasets::ScenarioSpec& spec,
                                const apr::PoolConfig& config) {
-  std::uint64_t h = oracle_fingerprint(spec);
+  std::uint64_t h = spec_fingerprint(spec);
   h = fnv_fold(h, config.target_size);
   h = fnv_fold(h, config.max_attempts);
   h = fnv_fold(h, config.seed);
@@ -90,10 +94,9 @@ OracleHub::Stats OracleHub::stats() const {
 }
 
 apr::ScenarioServices::OracleLease OracleHub::oracle_for(
-    const datasets::ScenarioSpec& spec) {
-  const std::uint64_t key = oracle_fingerprint(spec);
+    const datasets::ScenarioSpec& spec, const apr::MutationPool& base_pool) {
+  const std::uint64_t key = oracle_fingerprint(spec, base_pool);
   std::shared_ptr<OracleEntry> entry;
-  std::shared_ptr<const apr::MutationPool> warm;
   bool builder = false;
   {
     util::MutexLock lock(mutex_);
@@ -104,18 +107,6 @@ apr::ScenarioServices::OracleLease OracleHub::oracle_for(
     }
     entry = slot;
     if (builder) {
-      // Prefer priming the fresh oracle from an interned base pool of
-      // the same program (phase 1 has usually run by now): one batch of
-      // cache inserts instead of per-tenant cold misses.
-      const std::uint64_t program = program_fingerprint(spec);
-      for (const auto& [pool_key, pool_slot] : pools_) {
-        (void)pool_key;
-        if (pool_slot.program_key == program && pool_slot.entry->ready &&
-            !pool_slot.entry->failed) {
-          warm = pool_slot.entry->lease.pool;
-          break;
-        }
-      }
       ++stats_.oracle_builds;
     } else {
       while (!entry->ready) ready_cv_.wait(mutex_);
@@ -133,11 +124,11 @@ apr::ScenarioServices::OracleLease OracleHub::oracle_for(
     auto program = std::make_shared<const apr::ProgramModel>(spec);
     auto oracle = std::make_shared<const apr::TestOracle>(*program);
     // Nothing else can see this oracle until `ready` flips below, so the
-    // prime cannot race an evaluate().  prime_wave = prime_cache plus the
-    // eager wave table (flat masks, safe/relevant bitsets, interference
-    // CSR): every pair hash the pooled scenario can charge, paid once here
-    // and amortized over every tenant's probe waves.
-    if (warm) oracle->prime_wave(warm->mutations());
+    // prime cannot race an evaluate_pooled().  The per-pool table (masks,
+    // unsafe/relevant bitsets, interference CSR) holds every hash the
+    // pooled scenario can charge, paid once here and amortized over every
+    // tenant's probes.
+    oracle->prime_wave(base_pool.mutations());
     lease.program = std::move(program);
     lease.oracle = std::move(oracle);
     lease.shared = true;
@@ -170,13 +161,12 @@ apr::ScenarioServices::PoolLease OracleHub::base_pool(
   bool builder = false;
   {
     util::MutexLock lock(mutex_);
-    PoolSlot& slot = pools_[key];
-    if (!slot.entry) {
-      slot.entry = std::make_shared<PoolEntry>();
-      slot.program_key = program_fingerprint(spec);
+    auto& slot = pools_[key];
+    if (!slot) {
+      slot = std::make_shared<PoolEntry>();
       builder = true;
     }
-    entry = slot.entry;
+    entry = slot;
     if (builder) {
       ++stats_.pool_builds;
     } else {
@@ -192,10 +182,9 @@ apr::ScenarioServices::PoolLease OracleHub::base_pool(
 
   PoolLease lease;
   try {
-    // The build uses a private oracle: precompute primes the oracle it is
-    // given, and priming a shared one would race other tenants' probes.
-    // The analytic identity (precompute suite runs == pool attempts)
-    // makes the private counter transferable to every tenant's ledger.
+    // The build uses a private oracle, so its suite-run counter is this
+    // build's alone.  The analytic identity (precompute suite runs == pool
+    // attempts) makes that counter transferable to every tenant's ledger.
     const apr::ProgramModel program(spec);
     const apr::TestOracle oracle(program);
     auto pool = std::make_shared<const apr::MutationPool>(

@@ -4,21 +4,19 @@
 // thousand-tenant load over ten named scenarios means ~a hundred
 // campaigns per (program, suite, bug) triple.  Building a private
 // ProgramModel + TestOracle per campaign would duplicate both the model
-// memory and — far worse — the oracle's sharded mask cache, so identical
-// probes paid for by one tenant would be re-paid by every other.
+// memory and — far worse — the oracle's per-pool table, so every tenant
+// would re-pay the hashes one build already paid.
 //
 // OracleHub is the ScenarioServices implementation the server hands its
-// sessions.  It interns, keyed by a fingerprint of every spec field:
+// sessions.  It interns:
 //
-//   oracle_for()  — one shared TestOracle per exact (spec, bug, suite)
-//                   triple.  All tenants' probes land in that oracle's
-//                   sharded mutation-key cache, so "same scenario + same
-//                   mask" dedups across campaigns by construction.  The
-//                   hub primes a new oracle from an already-interned base
-//                   pool of the same program when one exists (the common
-//                   case: phase 1 runs before any bug starts), and marks
-//                   the lease shared so tenants never call prime_cache on
-//                   it — priming must not race concurrent evaluate()s.
+//   oracle_for()  — one shared TestOracle per (spec, base pool): the exact
+//                   (program, suite, bug) triple plus a fingerprint of the
+//                   campaign's base-pool members.  The hub primes the new
+//                   oracle's table from exactly that pool, of which every
+//                   tenant's working pool is a subset, and marks the lease
+//                   shared so tenants never re-prime it — priming must not
+//                   race concurrent evaluate_pooled()s.
 //   base_pool()   — one phase-1 precompute per (spec, pool config).  The
 //                   lease carries the analytic construction cost
 //                   (suite runs == pool attempts) so each tenant's ledger
@@ -54,7 +52,8 @@ class OracleHub final : public apr::ScenarioServices {
   OracleHub(const OracleHub&) = delete;
   OracleHub& operator=(const OracleHub&) = delete;
 
-  OracleLease oracle_for(const datasets::ScenarioSpec& spec) override;
+  OracleLease oracle_for(const datasets::ScenarioSpec& spec,
+                         const apr::MutationPool& base_pool) override;
   PoolLease base_pool(const datasets::ScenarioSpec& spec,
                       const apr::PoolConfig& config) override;
 
@@ -76,16 +75,12 @@ class OracleHub final : public apr::ScenarioServices {
   using OracleEntry = Entry<OracleLease>;
   using PoolEntry = Entry<PoolLease>;
 
-  struct PoolSlot {
-    std::uint64_t program_key = 0;  ///< spec identity minus (bug, suite).
-    std::shared_ptr<PoolEntry> entry;
-  };
-
   mutable util::Mutex mutex_;
   util::CondVar ready_cv_;
   std::map<std::uint64_t, std::shared_ptr<OracleEntry>> oracles_
       MWR_GUARDED_BY(mutex_);
-  std::map<std::uint64_t, PoolSlot> pools_ MWR_GUARDED_BY(mutex_);
+  std::map<std::uint64_t, std::shared_ptr<PoolEntry>> pools_
+      MWR_GUARDED_BY(mutex_);
   Stats stats_ MWR_GUARDED_BY(mutex_);
 
   obs::Counter* oracle_builds_;

@@ -211,10 +211,12 @@ void CampaignServer::fail_campaign(Campaign&& campaign) {
   root.set("error", campaign.error);
   campaign.result_json = root.dump(/*indent=*/2);
   campaign.result_json += "\n";
-  campaign.final_hash = campaign.session->trajectory_hash();
-  campaign.repaired = campaign.session->bugs_repaired();
-  campaign.bugs_done = campaign.session->bugs_completed();
-  campaign.session.reset();
+  if (campaign.session) {  // null when the campaign failed to resume.
+    campaign.final_hash = campaign.session->trajectory_hash();
+    campaign.repaired = campaign.session->bugs_repaired();
+    campaign.bugs_done = campaign.session->bugs_completed();
+    campaign.session.reset();
+  }
   scheduler_.remove(campaign.id);
   if (!config_.checkpoint_dir.empty()) {
     writer().enqueue_remove(campaign.id, checkpoint_path(campaign.id));
@@ -345,14 +347,21 @@ std::size_t CampaignServer::restore_from_dir() {
     Campaign campaign;
     campaign.id = checkpoint.campaign_id;
     campaign.request = checkpoint.request;
-    campaign.session =
-        apr::CampaignSession::resume(checkpoint.snapshot, std::move(plan.spec),
-                                     plan.config, &hub_);
+    next_id_ = std::max(next_id_, campaign.id + 1);
+    try {
+      campaign.session = apr::CampaignSession::resume(
+          checkpoint.snapshot, std::move(plan.spec), plan.config, &hub_);
+    } catch (const std::exception& error) {
+      // A snapshot this daemon cannot resume (say, a working pool that is
+      // no subset of the re-acquired base pool) fails that campaign alone.
+      campaign.error = error.what();
+      fail_campaign(std::move(campaign));
+      continue;
+    }
     campaign.session->set_metric_scope("campaign/" +
                                        std::to_string(campaign.id));
     // The file just read IS the current state: clean until it progresses.
     campaign.checkpointed_units = campaign.online_cycles;
-    next_id_ = std::max(next_id_, campaign.id + 1);
     if (campaign.session->done()) {
       finish_campaign(std::move(campaign));
     } else {

@@ -160,7 +160,8 @@ class CampaignServer {
   CheckpointReply checkpoint_all();
   /// Loads every "*.ckpt" in checkpoint_dir and resumes the campaigns;
   /// returns how many were restored.  Stray "*.ckpt.tmp" files (a crash
-  /// mid-flush) are ignored.
+  /// mid-flush) are ignored.  A campaign whose snapshot cannot be resumed
+  /// is failed alone (counted in failed_campaigns(), not restored).
   std::size_t restore_from_dir();
 
   [[nodiscard]] const ServerConfig& config() const noexcept {

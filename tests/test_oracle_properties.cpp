@@ -3,9 +3,20 @@
 // figure and table reproductions rest on.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "apr/mutation_pool.hpp"
 #include "apr/test_oracle.hpp"
 #include "datasets/scenario.hpp"
+
+namespace mwr::datasets {
+// gtest would print a ScenarioSpec parameter as a raw byte dump led by a
+// heap pointer, and gtest_discover_tests copies that print into the ctest
+// name; printing the scenario name keeps the names stable.
+static void PrintTo(const ScenarioSpec& spec, std::ostream* os) {
+  *os << spec.name;
+}
+}  // namespace mwr::datasets
 
 namespace mwr::apr {
 namespace {

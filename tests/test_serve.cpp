@@ -5,6 +5,7 @@
 // trajectory hash is bit-identical to the uninterrupted run.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -13,6 +14,7 @@
 #include <map>
 #include <memory>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -20,6 +22,7 @@
 
 #include "apr/campaign.hpp"
 #include "apr/campaign_session.hpp"
+#include "apr/mutation.hpp"
 #include "apr/outcome_json.hpp"
 #include "obs/registry.hpp"
 #include "serve/checkpoint.hpp"
@@ -345,6 +348,84 @@ TEST(Checkpoint, ResumeRejectsTheWrongCampaignDefinition) {
                std::invalid_argument);
 }
 
+// A mutation of `spec`'s program whose key no member of `pool` has.
+apr::Mutation foreign_mutation(const datasets::ScenarioSpec& spec,
+                               std::span<const apr::Mutation> pool) {
+  const apr::ProgramModel program(spec);
+  util::RngStream rng(99);
+  while (true) {
+    const apr::Mutation m = apr::random_mutation(program, rng);
+    if (std::ranges::none_of(pool, [&](const apr::Mutation& member) {
+          return member.key() == m.key();
+        })) {
+      return m;
+    }
+  }
+}
+
+// Services that hand out an OracleHub's leases and record each oracle lease.
+class RecordingServices final : public apr::ScenarioServices {
+ public:
+  OracleLease oracle_for(const datasets::ScenarioSpec& spec,
+                         const apr::MutationPool& base_pool) override {
+    leases.push_back(hub.oracle_for(spec, base_pool));
+    return leases.back();
+  }
+  PoolLease base_pool(const datasets::ScenarioSpec& spec,
+                      const apr::PoolConfig& config) override {
+    return hub.base_pool(spec, config);
+  }
+
+  OracleHub hub;
+  std::vector<OracleLease> leases;
+};
+
+TEST(Checkpoint, ResumeIntoAFreshHubPrimesTheOracle) {
+  const CampaignPlan plan =
+      plan_campaign(small_request("libtiff-2005-12-14", 5));
+  OracleHub reference_hub;
+  apr::CampaignSession uninterrupted(plan.spec, plan.config, &reference_hub);
+  while (!uninterrupted.done())
+    (void)uninterrupted.step(std::numeric_limits<std::size_t>::max());
+
+  OracleHub first_hub;
+  apr::CampaignSession first_life(plan.spec, plan.config, &first_hub);
+  for (int i = 0; i < 3; ++i) (void)first_life.step(1);
+  const apr::CampaignSnapshot snapshot = first_life.snapshot();
+  ASSERT_TRUE(snapshot.has_repair_state);
+
+  // A daemon restart: the resumed session meets a hub that has built
+  // nothing, re-acquires the base pool, and gets an oracle primed from it.
+  RecordingServices fresh;
+  const std::unique_ptr<apr::CampaignSession> second_life =
+      apr::CampaignSession::resume(snapshot, plan.spec, plan.config, &fresh);
+  ASSERT_EQ(fresh.leases.size(), 1u);
+  EXPECT_TRUE(fresh.leases[0].oracle->wave_ready());
+  EXPECT_EQ(fresh.hub.stats().pool_builds, 1u);
+  while (!second_life->done())
+    (void)second_life->step(std::numeric_limits<std::size_t>::max());
+  EXPECT_EQ(second_life->trajectory_hash(), uninterrupted.trajectory_hash());
+  EXPECT_EQ(apr::outcome_to_json(second_life->outcome()).dump(2),
+            apr::outcome_to_json(uninterrupted.outcome()).dump(2));
+}
+
+TEST(Checkpoint, ResumeRejectsAWorkingPoolOutsideTheBasePool) {
+  const CampaignPlan plan =
+      plan_campaign(small_request("libtiff-2005-12-14", 5));
+  OracleHub hub;
+  apr::CampaignSession first_life(plan.spec, plan.config, &hub);
+  for (int i = 0; i < 3; ++i) (void)first_life.step(1);
+  apr::CampaignSnapshot snapshot = first_life.snapshot();
+  ASSERT_TRUE(snapshot.has_repair_state);
+
+  const auto base = hub.base_pool(plan.spec, plan.config.pool);
+  snapshot.working_pool.push_back(
+      foreign_mutation(plan.spec, base.pool->mutations()));
+  EXPECT_THROW((void)apr::CampaignSession::resume(snapshot, plan.spec,
+                                                  plan.config, &hub),
+               std::invalid_argument);
+}
+
 // --- oracle hub ---------------------------------------------------------
 
 TEST(OracleHub, SharesPoolsAndOraclesAcrossTenants) {
@@ -359,19 +440,31 @@ TEST(OracleHub, SharesPoolsAndOraclesAcrossTenants) {
 
   datasets::ScenarioSpec bug = plan.spec;
   bug.bug_id = 0;
-  const auto lease_a = hub.oracle_for(bug);
-  const auto lease_b = hub.oracle_for(bug);
+  const auto lease_a = hub.oracle_for(bug, *pool_a.pool);
+  const auto lease_b = hub.oracle_for(bug, *pool_b.pool);
   EXPECT_TRUE(lease_a.shared);
   EXPECT_EQ(lease_a.oracle.get(), lease_b.oracle.get());
+  // The shared oracle's table is primed from exactly the base pool.
+  ASSERT_TRUE(lease_a.oracle->wave_ready());
+  EXPECT_TRUE(std::ranges::equal(lease_a.oracle->wave_pool(),
+                                 pool_a.pool->mutations()));
 
-  bug.bug_id = 1;  // a different bug is a different oracle
-  const auto lease_c = hub.oracle_for(bug);
+  // The same bug primed from a different pool is a different oracle...
+  const std::vector<apr::Mutation> fewer(pool_a.pool->mutations().begin(),
+                                         pool_a.pool->mutations().end() - 1);
+  const auto lease_c =
+      hub.oracle_for(bug, apr::MutationPool::from_mutations(fewer));
   EXPECT_NE(lease_a.oracle.get(), lease_c.oracle.get());
+  EXPECT_EQ(lease_c.oracle->wave_pool().size(), fewer.size());
+
+  bug.bug_id = 1;  // ...and so is a different bug.
+  const auto lease_d = hub.oracle_for(bug, *pool_a.pool);
+  EXPECT_NE(lease_a.oracle.get(), lease_d.oracle.get());
 
   const OracleHub::Stats stats = hub.stats();
   EXPECT_EQ(stats.pool_builds, 1u);
   EXPECT_EQ(stats.pool_hits, 1u);
-  EXPECT_EQ(stats.oracle_builds, 2u);
+  EXPECT_EQ(stats.oracle_builds, 3u);
   EXPECT_EQ(stats.oracle_hits, 1u);
 }
 
@@ -383,8 +476,9 @@ TEST(OracleHub, FailedBuildsAreRetriedNotCachedForever) {
   // Each lookup must attempt a fresh build and surface the builder's own
   // error.  A poisoned cache entry would turn the second call into a
   // std::runtime_error("oracle build failed") forever.
-  EXPECT_THROW((void)hub.oracle_for(bad), std::invalid_argument);
-  EXPECT_THROW((void)hub.oracle_for(bad), std::invalid_argument);
+  const apr::MutationPool no_pool;
+  EXPECT_THROW((void)hub.oracle_for(bad, no_pool), std::invalid_argument);
+  EXPECT_THROW((void)hub.oracle_for(bad, no_pool), std::invalid_argument);
   EXPECT_EQ(hub.stats().oracle_builds, 2u);
 
   const apr::PoolConfig pool_config;
@@ -394,7 +488,7 @@ TEST(OracleHub, FailedBuildsAreRetriedNotCachedForever) {
 
   // And a failure leaves the hub fully serviceable for valid specs.
   bad.tests = 12;
-  const auto lease = hub.oracle_for(bad);
+  const auto lease = hub.oracle_for(bad, no_pool);
   EXPECT_NE(lease.oracle, nullptr);
 }
 
@@ -633,6 +727,63 @@ std::map<std::string, std::vector<std::uint8_t>> read_checkpoints(
   for (const auto& entry : std::filesystem::directory_iterator(dir))
     files[entry.path().filename().string()] = read_file_bytes(entry.path());
   return files;
+}
+
+TEST(CampaignServer, UnresumableCheckpointFailsOnlyItsCampaign) {
+  const std::filesystem::path dir = private_dir();
+  std::filesystem::remove_all(dir);
+  const std::vector<std::string> families = {"libtiff-2005-12-14",
+                                             "gzip-2009-09-26"};
+  std::uint64_t reference_hash = 0;
+  std::string reference_json;
+  {
+    CampaignServer reference{ServerConfig{}};
+    (void)reference.submit(small_request(families[0], 50));
+    const std::uint64_t id = *reference.submit(small_request(families[1], 51));
+    reference.drain();
+    reference_hash = reference.status(id).trajectory_hash;
+    reference_json = reference.result(id).outcome_json;
+  }
+  {
+    ServerConfig config;
+    config.quantum = 1;
+    config.checkpoint_dir = dir.string();
+    CampaignServer first_life(config);
+    for (std::size_t i = 0; i < families.size(); ++i)
+      ASSERT_TRUE(
+          first_life.submit(small_request(families[i], 50 + i)).has_value());
+    for (int epoch = 0; epoch < 3; ++epoch) (void)first_life.run_epoch();
+    ASSERT_EQ(first_life.resident(), families.size());
+    (void)first_life.checkpoint_all();
+  }
+
+  // Campaign 1's working pool gains a member its base pool never had.
+  const std::string path = (dir / "campaign-1.ckpt").string();
+  CampaignCheckpoint tampered = read_checkpoint_file(path);
+  ASSERT_TRUE(tampered.snapshot.has_repair_state);
+  const CampaignPlan plan = plan_campaign(tampered.request);
+  tampered.snapshot.working_pool.push_back(
+      foreign_mutation(plan.spec, tampered.snapshot.working_pool));
+  (void)write_checkpoint_file(tampered, path);
+
+  ServerConfig config;
+  config.checkpoint_dir = dir.string();
+  CampaignServer second_life(config);
+  EXPECT_EQ(second_life.restore_from_dir(), 1u);
+  EXPECT_EQ(second_life.failed_campaigns(), 1u);
+  const StatusReply failed = second_life.status(1);
+  EXPECT_TRUE(failed.known && failed.done);
+  EXPECT_NE(second_life.result(1).outcome_json.find("mwr-campaign-error-v1"),
+            std::string::npos);
+
+  // The daemon keeps serving: the other campaign finishes bit-identically.
+  second_life.drain();
+  const StatusReply status = second_life.status(2);
+  ASSERT_TRUE(status.known && status.done);
+  EXPECT_EQ(status.trajectory_hash, reference_hash);
+  EXPECT_EQ(second_life.result(2).outcome_json, reference_json);
+  EXPECT_EQ(count_ckpt_files(dir), 0u);
+  std::filesystem::remove_all(dir);
 }
 
 TEST(CampaignServer, TrajectoriesAndCheckpointsMatchAtEveryWorkerCount) {
