@@ -55,7 +55,6 @@ MwuResult run_mwu(MwuStrategy& strategy, const CostOracle& oracle,
                   const MwuConfig& config, util::RngStream rng) {
   if (oracle.num_options() != config.num_options)
     throw std::invalid_argument("run_mwu: oracle/config option count mismatch");
-  const CountingOracle counted(oracle);
   MwuResult result;
   result.cpus_per_cycle = strategy.cpus_per_cycle();
 
@@ -81,14 +80,16 @@ MwuResult run_mwu(MwuStrategy& strategy, const CostOracle& oracle,
     if (workers) {
       auto streams = rng.split_n(probes.size());
       workers->parallel_for_index(probes.size(), [&](std::size_t j) {
-        rewards[j] = counted.sample(probes[j], streams[j]);
+        rewards[j] = oracle.sample(probes[j], streams[j]);
       });
     } else {
       for (std::size_t j = 0; j < probes.size(); ++j) {
-        rewards[j] = counted.sample(probes[j], rng);
+        rewards[j] = oracle.sample(probes[j], rng);
       }
     }
     strategy.update(probes, rewards, rng);
+    // One oracle call per probe, so the cycle's evaluations are its probes.
+    result.evaluations += probes.size();
     ++result.iterations;
     cycle_counter.add(1);
     probe_counter.add(probes.size());
@@ -99,7 +100,6 @@ MwuResult run_mwu(MwuStrategy& strategy, const CostOracle& oracle,
   }
   result.best_option = strategy.best_option();
   result.probabilities = strategy.probabilities();
-  result.evaluations = counted.evaluations();
   metrics.gauge("mwu.converged").set(result.converged ? 1.0 : 0.0);
   metrics.gauge("mwu.cpu_iterations").set(
       static_cast<double>(result.cpu_iterations()));

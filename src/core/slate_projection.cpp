@@ -14,22 +14,24 @@ std::vector<double> cap_to_slate_marginals(std::span<const double> p,
   if (slate_size == 0 || slate_size > k)
     throw std::invalid_argument("cap_to_slate_marginals: bad slate size");
 
-  std::vector<double> q(p.begin(), p.end());
-  std::vector<bool> capped(k, false);
-  std::size_t num_capped = 0;
   // Fixpoint: scale the uncapped mass to fill (s - num_capped), cap anything
   // that overflows 1, repeat.  Each round caps at least one new entry, so at
-  // most k rounds run.
+  // most k rounds run.  An uncapped entry keeps its input value p[i] until
+  // the end, so one pass per round both caps and writes the scaled value
+  // (final if nothing new is capped) and folds the surviving p[i] into the
+  // next round's mass — ascending, skipping the capped entries, i.e. the
+  // same strict left-to-right sum a separate pass would take.
+  std::vector<double> q(k);
+  std::vector<unsigned char> capped(k, 0);
+  std::size_t num_capped = 0;
+  double uncapped_mass = 0.0;
+  for (std::size_t i = 0; i < k; ++i) uncapped_mass += p[i];
   for (;;) {
-    double uncapped_mass = 0.0;
-    for (std::size_t i = 0; i < k; ++i) {
-      if (!capped[i]) uncapped_mass += q[i];
-    }
     const double target = s - static_cast<double>(num_capped);
     if (target <= 0.0) {
       // All slate slots are consumed by capped entries; zero the rest.
       for (std::size_t i = 0; i < k; ++i) {
-        if (!capped[i]) q[i] = 0.0;
+        if (capped[i] == 0) q[i] = 0.0;
       }
       break;
     }
@@ -39,28 +41,28 @@ std::vector<double> cap_to_slate_marginals(std::span<const double> p,
       const double fill =
           target / static_cast<double>(k - num_capped);
       for (std::size_t i = 0; i < k; ++i) {
-        if (!capped[i]) q[i] = fill;
+        if (capped[i] == 0) q[i] = fill;
       }
       break;
     }
     const double scale = target / uncapped_mass;
+    double next_mass = 0.0;
     bool newly_capped = false;
     for (std::size_t i = 0; i < k; ++i) {
-      if (capped[i]) continue;
-      const double scaled = q[i] * scale;
+      if (capped[i] != 0) continue;
+      const double scaled = p[i] * scale;
       if (scaled >= 1.0) {
         q[i] = 1.0;
-        capped[i] = true;
+        capped[i] = 1;
         ++num_capped;
         newly_capped = true;
+      } else {
+        q[i] = scaled;
+        next_mass += p[i];
       }
     }
-    if (!newly_capped) {
-      for (std::size_t i = 0; i < k; ++i) {
-        if (!capped[i]) q[i] *= scale;
-      }
-      break;
-    }
+    if (!newly_capped) break;
+    uncapped_mass = next_mass;
   }
   return q;
 }

@@ -1,7 +1,9 @@
 #include "parallel/thread_pool.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
+#include <exception>
 #include <stdexcept>
 
 #include "obs/registry.hpp"
@@ -104,19 +106,37 @@ void ThreadPool::parallel_for_index(
     for (std::size_t i = 0; i < count; ++i) fn(i);
     return;
   }
-  const std::size_t chunks = std::min(count, size());
-  const std::size_t per_chunk = (count + chunks - 1) / chunks;
-  std::vector<std::future<void>> futures;
-  futures.reserve(chunks);
-  for (std::size_t c = 0; c < chunks; ++c) {
-    const std::size_t begin = c * per_chunk;
-    const std::size_t end = std::min(count, begin + per_chunk);
-    if (begin >= end) break;
-    futures.push_back(submit([begin, end, &fn] {
+  // One draining task per worker (fewer for a short range); each claims
+  // chunks from the shared cursor until the range is exhausted, so a few
+  // expensive indices cannot strand the rest of the range behind them.
+  // The chunk is a pure function of the job shape: ~64 claims per task
+  // keeps a skewed range balanced while sub-microsecond items still pay
+  // one atomic per chunk, not per index.
+  const std::size_t tasks = std::min(count, size());
+  const std::size_t chunk = std::max<std::size_t>(1, count / (tasks * 64));
+  std::atomic<std::size_t> cursor{0};
+  const auto drain = [count, chunk, &cursor, &fn] {
+    for (;;) {
+      const std::size_t begin = cursor.fetch_add(chunk);
+      if (begin >= count) return;
+      const std::size_t end = std::min(count, begin + chunk);
       for (std::size_t i = begin; i < end; ++i) fn(i);
-    }));
+    }
+  };
+  std::vector<std::future<void>> futures;
+  futures.reserve(tasks);
+  for (std::size_t t = 0; t < tasks; ++t) futures.push_back(submit(drain));
+  // Every task holds references into this frame (fn, cursor), so all of
+  // them must finish before it unwinds — even when an early one failed.
+  std::exception_ptr first_error;
+  for (auto& f : futures) {
+    try {
+      f.get();
+    } catch (...) {
+      if (!first_error) first_error = std::current_exception();
+    }
   }
-  for (auto& f : futures) f.get();  // rethrows the first failure
+  if (first_error) std::rethrow_exception(first_error);
 }
 
 }  // namespace mwr::parallel

@@ -6,10 +6,12 @@
 //  - tasks are type-erased through std::packaged_task so submit() returns a
 //    std::future and exceptions thrown inside a task propagate to the
 //    caller, never escaping into the worker loop;
-//  - parallel_for_index partitions an index range into contiguous blocks,
-//    one per worker, which is how the embarrassingly-parallel pool
-//    precomputation of MWRepair is expressed (each worker gets a split RNG
-//    stream, not a shared one).
+//  - parallel_for_index hands an index range out in small chunks claimed
+//    from a shared cursor, so a range whose cost is skewed (the Table II
+//    sweep's few large-k replications) still keeps every worker busy.
+//    Callers write per-index slots and fix any randomness before the
+//    fan-out (an index gets a split RNG stream, not a shared one), so
+//    which worker ran an index never shows in the results.
 #pragma once
 
 #include <chrono>
@@ -58,10 +60,14 @@ class ThreadPool {
     return result;
   }
 
-  /// Runs fn(i) for every i in [0, count), blocked into `size()` contiguous
-  /// chunks, and waits for completion.  fn must be safe to invoke
-  /// concurrently for distinct i.  Exceptions from any chunk are rethrown
-  /// (the first one encountered).
+  /// Runs fn(i) for every i in [0, count) and waits for completion.  Up to
+  /// `size()` tasks claim chunks of max(1, count / (tasks * 64)) indices
+  /// from a shared atomic cursor until the range is exhausted; the chunk
+  /// depends only on (count, size()), never on timing.  fn must be safe to
+  /// invoke concurrently for distinct i.  A chunk stops at its first
+  /// throwing index; the other tasks drain the rest of the range, and once
+  /// every task has finished the first failure (in task order) is
+  /// rethrown.
   ///
   /// Re-entrant: when called from inside one of this pool's own tasks, the
   /// range runs inline on the calling worker instead of being submitted.

@@ -3,6 +3,10 @@
 // paper's §IV-C/D/F findings as regression tests.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <string>
+
 #include "costmodel/evaluation.hpp"
 
 namespace mwr::costmodel {
@@ -128,6 +132,40 @@ TEST_F(TableShape, JavaScenariosGiveConsistentStandardCycles) {
   }
   ASSERT_EQ(java_cycles.count(), 5u);
   EXPECT_LT(java_cycles.stddev(), 0.35 * java_cycles.mean());
+}
+
+// One golden row per cell: every figure Tables II-IV report, as exact hex
+// floats, so any change to a replication's trajectory or to the fold order
+// of the sweep shows up as a differing row.  A change meant to alter a
+// trajectory rewrites tests/golden/table_cells_256.csv from golden_row().
+constexpr const char* kGoldenHeader =
+    "dataset,kind,iterations_mean,iterations_stddev,accuracy_mean,"
+    "cpu_iterations_mean,converged_runs";
+
+std::string golden_row(const EvalCell& cell) {
+  char row[256];
+  std::snprintf(row, sizeof row, "%s,%s,%a,%a,%a,%a,%zu",
+                cell.dataset.c_str(), to_string(cell.kind).c_str(),
+                cell.iterations.mean(), cell.iterations.stddev(),
+                cell.accuracy.mean(), cell.cpu_iterations.mean(),
+                cell.converged_runs);
+  return row;
+}
+
+TEST_F(TableShape, CellsMatchGolden) {
+  const std::string path =
+      std::string(MWR_TEST_SOURCE_DIR) + "/tests/golden/table_cells_256.csv";
+  std::ifstream in(path);
+  ASSERT_TRUE(in.is_open()) << "missing golden file " << path;
+  std::string line;
+  ASSERT_TRUE(std::getline(in, line));
+  EXPECT_EQ(line, kGoldenHeader);
+  for (const auto& cell : cells()) {
+    ASSERT_TRUE(std::getline(in, line)) << "golden ends before "
+                                        << cell.dataset;
+    EXPECT_EQ(golden_row(cell), line);
+  }
+  EXPECT_FALSE(std::getline(in, line)) << "golden has extra rows: " << line;
 }
 
 }  // namespace

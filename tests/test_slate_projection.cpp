@@ -4,9 +4,12 @@
 // weight vector into a convex combination of slates).
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
 #include <numeric>
 #include <set>
 
+#include "core/slate_mwu.hpp"
 #include "core/slate_projection.hpp"
 
 namespace mwr::core {
@@ -56,6 +59,125 @@ TEST(CapToSlateMarginals, CascadingCaps) {
   EXPECT_DOUBLE_EQ(q[1], 1.0);
   EXPECT_NEAR(q[2] + q[3], 1.0, 1e-9);
   EXPECT_NEAR(q[2], 0.5, 1e-9);
+}
+
+// The capping fixpoint as first written: a separate mass pass and capping
+// pass per round, then a final scaling pass.  cap_to_slate_marginals folds
+// the next round's mass into the capping pass and must stay bit-identical
+// to this reference.
+std::vector<double> reference_cap(std::span<const double> p,
+                                  std::size_t slate_size) {
+  const std::size_t k = p.size();
+  const auto s = static_cast<double>(slate_size);
+  std::vector<double> q(p.begin(), p.end());
+  std::vector<bool> capped(k, false);
+  std::size_t num_capped = 0;
+  for (;;) {
+    double uncapped_mass = 0.0;
+    for (std::size_t i = 0; i < k; ++i) {
+      if (!capped[i]) uncapped_mass += q[i];
+    }
+    const double target = s - static_cast<double>(num_capped);
+    if (target <= 0.0) {
+      for (std::size_t i = 0; i < k; ++i) {
+        if (!capped[i]) q[i] = 0.0;
+      }
+      break;
+    }
+    if (uncapped_mass <= 0.0) {
+      const double fill = target / static_cast<double>(k - num_capped);
+      for (std::size_t i = 0; i < k; ++i) {
+        if (!capped[i]) q[i] = fill;
+      }
+      break;
+    }
+    const double scale = target / uncapped_mass;
+    bool newly_capped = false;
+    for (std::size_t i = 0; i < k; ++i) {
+      if (capped[i]) continue;
+      if (q[i] * scale >= 1.0) {
+        q[i] = 1.0;
+        capped[i] = true;
+        ++num_capped;
+        newly_capped = true;
+      }
+    }
+    if (!newly_capped) {
+      for (std::size_t i = 0; i < k; ++i) {
+        if (!capped[i]) q[i] *= scale;
+      }
+      break;
+    }
+  }
+  return q;
+}
+
+void expect_cap_matches_reference(const std::vector<double>& p,
+                                  std::size_t slate_size) {
+  const auto q = cap_to_slate_marginals(p, slate_size);
+  const auto want = reference_cap(p, slate_size);
+  ASSERT_EQ(q.size(), want.size());
+  EXPECT_EQ(std::memcmp(q.data(), want.data(), q.size() * sizeof(double)), 0)
+      << "k=" << p.size() << " s=" << slate_size;
+}
+
+// A few dominant entries, so the larger slates cap over several rounds.
+std::vector<double> peaked_random(std::size_t k, std::uint64_t seed) {
+  util::RngStream rng(seed);
+  std::vector<double> p(k);
+  double total = 0.0;
+  for (auto& v : p) total += (v = std::pow(rng.uniform(), 32.0) + 1e-9);
+  for (auto& v : p) v /= total;
+  return p;
+}
+
+TEST(CapToSlateMarginals, BitIdenticalToTwoPassReferenceOnRandomInputs) {
+  for (std::size_t k = 1; k <= 2048; ++k) {
+    const std::size_t sizes[] = {1, SlateMwu::slate_size_for(k, 0.05), k};
+    const auto flat = normalized_random(k, 1000 + k);
+    const auto peaked = peaked_random(k, 5000 + k);
+    for (const std::size_t slate_size : sizes) {
+      expect_cap_matches_reference(flat, slate_size);
+      expect_cap_matches_reference(peaked, slate_size);
+    }
+  }
+}
+
+TEST(CapToSlateMarginals, BitIdenticalToTwoPassReferenceOnEdgeCases) {
+  for (const std::size_t k : {1u, 2u, 7u, 64u, 1000u}) {
+    std::vector<double> one_hot(k, 0.0);
+    one_hot[k / 2] = 1.0;
+    const std::vector<double> equal(k, 1.0 / static_cast<double>(k));
+    std::vector<double> tied(k, 0.1 / static_cast<double>(k));
+    tied[0] = tied[k - 1] = 0.45;
+    const std::vector<double> zero(k, 0.0);
+    for (const std::size_t slate_size :
+         {std::size_t{1}, (k + 1) / 2, std::size_t{k}}) {
+      expect_cap_matches_reference(one_hot, slate_size);
+      expect_cap_matches_reference(equal, slate_size);
+      expect_cap_matches_reference(tied, slate_size);
+      expect_cap_matches_reference(zero, slate_size);
+    }
+  }
+}
+
+TEST(CapToSlateMarginals, BitIdenticalToTwoPassReferenceAlongASlateRun) {
+  // Every probabilities() vector a Slate learner hands to the cap over a
+  // 2000-cycle run at k = 1024, from uniform to sharply peaked.
+  MwuConfig config;
+  config.num_options = 1024;
+  SlateMwu mwu(config);
+  util::RngStream rng(7);
+  for (int cycle = 0; cycle < 2000; ++cycle) {
+    expect_cap_matches_reference(mwu.probabilities(), mwu.slate_size());
+    const auto slate = mwu.sample(rng);
+    std::vector<double> rewards(slate.size());
+    for (std::size_t j = 0; j < slate.size(); ++j) {
+      const double rate = slate[j] % 97 == 3 ? 0.9 : 0.2;
+      rewards[j] = rng.uniform() < rate ? 1.0 : 0.0;
+    }
+    mwu.update(slate, rewards, rng);
+  }
 }
 
 TEST(DecomposeIntoSlates, RejectsInfeasibleInput) {

@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "parallel/thread_pool.hpp"
@@ -100,6 +102,48 @@ TEST(ThreadPool, ParallelForPropagatesExceptions) {
                      if (i == 5) throw std::runtime_error("bad index");
                    }),
                std::runtime_error);
+}
+
+TEST(ThreadPool, ParallelForWaitsForEveryItemBeforeRethrowing) {
+  // fn and the claim cursor live in the caller's frame, so the call may
+  // not return (or throw) while another task is still running fn.
+  ThreadPool pool(2);
+  std::atomic<bool> slow_item_finished{false};
+  EXPECT_THROW(pool.parallel_for_index(
+                   2,
+                   [&](std::size_t i) {
+                     if (i == 0) throw std::runtime_error("first item");
+                     std::this_thread::sleep_for(
+                         std::chrono::milliseconds(100));
+                     slow_item_finished.store(true);
+                   }),
+               std::runtime_error);
+  EXPECT_TRUE(slow_item_finished.load());
+}
+
+TEST(ThreadPool, ParallelForBalancesASkewedRange) {
+  // Item 0 stands for one expensive replication at the front of the range.
+  // With contiguous per-worker blocks, items 1..31 would queue behind it on
+  // the same worker and it would time out; with a shared cursor the other
+  // worker claims all of them while item 0 is still running.
+  ThreadPool pool(2);
+  constexpr std::size_t kCount = 64;
+  std::atomic<std::size_t> others_done{0};
+  std::atomic<std::size_t> seen_by_item0{0};
+  pool.parallel_for_index(kCount, [&](std::size_t i) {
+    if (i != 0) {
+      others_done.fetch_add(1);
+      return;
+    }
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (others_done.load() < kCount - 1 &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    seen_by_item0.store(others_done.load());
+  });
+  EXPECT_EQ(seen_by_item0.load(), kCount - 1);
 }
 
 TEST(ThreadPool, NestedParallelForRunsInlineWithoutDeadlock) {
