@@ -6,9 +6,10 @@ Dispatches on the artifact's "schema" field:
 mwr-bench-hot-paths-v2 (bench_hot_paths --json):
   the hot-path optimizations must still pay for themselves — the Fenwick
   sampler at least 5x over the linear scan, pooled oracle probes at least
-  3x over the reference, the full Table-II cycle at least 4x — and absolute
-  sampler cost must not regress more than 2x against the committed
-  baseline.  The per-kernel rows (scalar vs runtime dispatch) carry no
+  3x over the reference, the full Table-II cycle at least 4x, the
+  Distributed-MWU cycle at k = 1024 at least 1.2x over the per-probe
+  loop — and absolute sampler cost must not regress more than 2x against
+  the committed baseline.  The per-kernel rows (scalar vs runtime dispatch) carry no
   speedup floor: on a non-AVX2 runner both sides are the same code and the
   row legitimately reports ~1x.
 
@@ -61,6 +62,7 @@ HOT_PATHS_SECTIONS = [
     "sampler",
     "oracle",
     "table2_cycle",
+    "distributed_cycle",
     "kernel_update",
     "kernel_normalize",
     "kernel_materialize",
@@ -69,6 +71,8 @@ HOT_PATHS_SPEEDUP_FLOORS = {
     "sampler": 5.0,       # Fenwick draw vs linear scan at k = 2^14
     "oracle": 3.0,        # reference vs pooled-table phase-2 probe
     "table2_cycle": 4.0,  # full SoA-kernel cycle (n draws + fused update)
+    # local-stream agent loops + batched probes vs the per-probe loop
+    "distributed_cycle": 1.2,
     # kernel_* rows: no floor — scalar == dispatched on non-AVX2 runners.
 }
 # Absolute ns-per-op may regress at most this factor vs the committed

@@ -10,6 +10,11 @@
 //   table2_cycle  — one full Standard-MWU bandit cycle at Table II scale
 //                   (k = 2^14, n = 64 agents): per-agent linear scans vs
 //                   the sampler-backed StandardMwu::sample.
+//   distributed_cycle — one full Distributed-MWU cycle at k = 1024 (32,769
+//                   agents) against a Bernoulli oracle: per-agent draws
+//                   through the caller's stream and one virtual oracle
+//                   call per probe vs the local-stream agent loops and
+//                   BernoulliOracle::sample_batch (DESIGN.md §8.5).
 //
 // Plus one row per SoA weight kernel (DESIGN.md §12), measuring the scalar
 // implementation against the runtime-dispatched one over the same k-element
@@ -42,6 +47,7 @@
 
 #include "apr/mutation_pool.hpp"
 #include "apr/test_oracle.hpp"
+#include "core/distributed_mwu.hpp"
 #include "core/standard_mwu.hpp"
 #include "datasets/scenario.hpp"
 #include "util/cli.hpp"
@@ -253,6 +259,101 @@ Section bench_table2_cycle(std::size_t k, std::size_t agents,
   return out;
 }
 
+// --- distributed_cycle: full Distributed-MWU cycle at k = 1024 ----------
+
+// Table II's largest tractable instance size: 32,769 agents.
+constexpr std::size_t kDistributedOptions = 1024;
+
+Section bench_distributed_cycle(std::size_t k, std::size_t cycles,
+                                std::uint64_t seed) {
+  core::MwuConfig config;
+  config.num_options = k;
+  util::RngStream init(seed ^ 0x6666);
+  std::vector<double> values(k);
+  for (auto& v : values) v = init.uniform();
+  const core::OptionSet options("distributed_cycle", std::move(values));
+  const core::BernoulliOracle bernoulli(options);
+  // Reached through an opaque pointer, as run_mwu reaches its caller's
+  // oracle, so neither side's oracle calls are devirtualized.
+  const core::CostOracle* volatile opaque = &bernoulli;
+  const core::CostOracle& oracle = *opaque;
+  // Both sides fold the plurality option into the checksum every cycle,
+  // and every final choice and the final stream state at the end.
+  const auto fold_final = [](std::uint64_t sum,
+                             const std::vector<std::uint32_t>& choices,
+                             const util::RngStream& rng) {
+    for (const std::uint32_t c : choices) sum = sum * 31 + c;
+    return sum ^ rng.state()[0];
+  };
+
+  Section out;
+  std::uint64_t before_sum = 0;
+  {
+    // Before: the historical cycle — a fresh observation vector per cycle,
+    // every agent drawing through the caller's stream (bernoulli +
+    // uniform_index), and one virtual oracle call per probe.
+    const core::DistributedMwu start(config);
+    std::vector<std::uint32_t> choices = start.choices();
+    std::vector<std::uint32_t> popularity(k, 0);
+    for (const std::uint32_t c : choices) ++popularity[c];
+    const std::size_t population = choices.size();
+    util::RngStream rng(seed ^ 0x7777);
+    std::vector<double> rewards(population);
+    util::WallTimer timer;
+    for (std::size_t c = 0; c < cycles; ++c) {
+      std::vector<std::size_t> observed(population);
+      for (auto& option : observed) {
+        if (rng.bernoulli(config.exploration)) {
+          option = rng.uniform_index(k);
+        } else {
+          option = choices[rng.uniform_index(population)];
+        }
+      }
+      for (std::size_t j = 0; j < population; ++j) {
+        rewards[j] = oracle.sample(observed[j], rng);
+      }
+      for (std::size_t j = 0; j < population; ++j) {
+        const double adopt = rewards[j] > 0.0 ? config.adopt_success
+                                              : config.adopt_failure;
+        if (rng.bernoulli(adopt)) {
+          --popularity[choices[j]];
+          choices[j] = static_cast<std::uint32_t>(observed[j]);
+          ++popularity[choices[j]];
+        }
+      }
+      before_sum += static_cast<std::uint64_t>(
+          std::max_element(popularity.begin(), popularity.end()) -
+          popularity.begin());
+    }
+    out.before_ns = timer.elapsed_seconds() * 1e9 / static_cast<double>(cycles);
+    before_sum = fold_final(before_sum, choices, rng);
+  }
+  std::uint64_t after_sum = 0;
+  {
+    // After: DistributedMwu's local-stream agent loops around one batched
+    // oracle call, each buffer reused across cycles.
+    core::DistributedMwu mwu(config);
+    util::RngStream rng(seed ^ 0x7777);
+    std::vector<std::size_t> observed;
+    std::vector<double> rewards(mwu.population());
+    util::WallTimer timer;
+    for (std::size_t c = 0; c < cycles; ++c) {
+      mwu.sample_into(rng, observed);
+      oracle.sample_batch(observed, rng, rewards);
+      mwu.update(observed, rewards, rng);
+      after_sum += mwu.best_option();
+    }
+    out.after_ns = timer.elapsed_seconds() * 1e9 / static_cast<double>(cycles);
+    after_sum = fold_final(after_sum, mwu.choices(), rng);
+  }
+  if (before_sum != after_sum) {
+    std::cerr << "FATAL: distributed_cycle diverged from the per-probe loop\n";
+    std::exit(1);
+  }
+  out.checksum = after_sum;
+  return out;
+}
+
 // --- per-kernel rows: scalar implementation vs runtime dispatch ---------
 
 namespace simd = util::simd;
@@ -377,6 +478,7 @@ void emit_json(const std::string& path, std::size_t k, std::size_t agents,
                std::size_t pool_size, std::size_t patch_size,
                std::size_t repeat, const Section& sampler,
                const Section& oracle, const Section& cycle,
+               const Section& distributed_cycle,
                const Section& kernel_update, const Section& kernel_normalize,
                const Section& kernel_materialize) {
   const auto section = [](std::ostream& os, const char* name,
@@ -400,6 +502,7 @@ void emit_json(const std::string& path, std::size_t k, std::size_t agents,
   section(os, "sampler", sampler, false);
   section(os, "oracle", oracle, false);
   section(os, "table2_cycle", cycle, false);
+  section(os, "distributed_cycle", distributed_cycle, false);
   section(os, "kernel_update", kernel_update, false);
   section(os, "kernel_normalize", kernel_normalize, false);
   section(os, "kernel_materialize", kernel_materialize, true);
@@ -411,7 +514,7 @@ void emit_json(const std::string& path, std::size_t k, std::size_t agents,
 int main(int argc, char** argv) {
   util::Cli cli("bench_hot_paths — before/after ns-per-op for the Fenwick "
                 "sampler, the pooled oracle table, and the full Table-II "
-                "cycle");
+                "Standard and Distributed cycles");
   util::add_standard_bench_flags(cli);
   cli.add_int("options", 1 << 14, "weighted-draw options (k)");
   cli.add_int("agents", 64, "agents per cycle (n)");
@@ -448,6 +551,11 @@ int main(int argc, char** argv) {
     return bench_table2_cycle(
         k, agents, static_cast<std::size_t>(cli.get_int("cycles")), seed);
   });
+  const Section distributed_cycle = median_of(repeat, [&] {
+    return bench_distributed_cycle(
+        kDistributedOptions,
+        static_cast<std::size_t>(cli.get_int("cycles")), seed);
+  });
   const Section kernel_update = median_of(
       repeat, [&] { return bench_kernel_update(k, kernel_iters, seed); });
   const Section kernel_normalize = median_of(
@@ -467,14 +575,15 @@ int main(int argc, char** argv) {
   row("weighted draw (linear -> Fenwick)", sampler);
   row("phase-2 probe (reference -> pooled)", oracle);
   row("Standard-MWU cycle", cycle);
+  row("Distributed-MWU cycle (k=1024)", distributed_cycle);
   row("kernel pow_update (scalar -> simd)", kernel_update);
   row("kernel fenwick_rebuild (scalar -> simd)", kernel_normalize);
   row("kernel materialize (scalar -> simd)", kernel_materialize);
   table.emit(std::cout, cli.get_string("csv"));
 
   emit_json(cli.get_string("json"), k, agents, pool_size, patch_size, repeat,
-            sampler, oracle, cycle, kernel_update, kernel_normalize,
-            kernel_materialize);
+            sampler, oracle, cycle, distributed_cycle, kernel_update,
+            kernel_normalize, kernel_materialize);
   std::cout << "wrote " << cli.get_string("json") << "\n";
   return 0;
 }

@@ -49,34 +49,55 @@ void DistributedMwu::set_choices(const std::vector<std::uint32_t>& choices) {
   for (const auto c : choices_) ++popularity_[c];
 }
 
-std::vector<std::size_t> DistributedMwu::sample(util::RngStream& rng) {
-  std::vector<std::size_t> observed(choices_.size());
-  for (auto& option : observed) {
-    if (rng.bernoulli(config_.exploration)) {
-      option = rng.uniform_index(config_.num_options);  // random option
+// Both agent loops draw from a local copy of the caller's stream and write
+// it back once (DESIGN.md §8.5).  The loops store size_t observations and
+// load size_t options — the same type as the generator's uint64_t state —
+// so through `rng` every draw would have to store and reload that state;
+// the local copy stays in registers.  Each trial is bernoulli(p) in its
+// exact integer form (RngStream::bernoulli_threshold), so every draw and
+// outcome matches the per-agent bernoulli/uniform_index sequence.
+void DistributedMwu::sample_into(util::RngStream& rng,
+                                 std::vector<std::size_t>& out) {
+  const std::size_t population = choices_.size();
+  const std::size_t k = config_.num_options;
+  const std::uint64_t explore =
+      util::RngStream::bernoulli_threshold(config_.exploration);
+  const std::uint32_t* choices = choices_.data();
+  out.resize(population);
+  std::size_t* observed = out.data();
+  util::RngStream local = rng;
+  for (std::size_t j = 0; j < population; ++j) {
+    if (local.bernoulli_below(explore)) {
+      observed[j] = local.uniform_index(k);  // random option
     } else {
-      const std::size_t neighbor = rng.uniform_index(choices_.size());
-      option = choices_[neighbor];  // observe a random neighbor
+      observed[j] = choices[local.uniform_index(population)];  // a neighbor
     }
   }
-  return observed;
+  rng = local;
 }
 
 void DistributedMwu::update(std::span<const std::size_t> options,
                             std::span<const double> rewards,
                             util::RngStream& rng) {
-  if (options.size() != choices_.size() || rewards.size() != choices_.size())
+  const std::size_t population = choices_.size();
+  if (options.size() != population || rewards.size() != population)
     throw std::invalid_argument("DistributedMwu::update: size mismatch");
-  for (std::size_t j = 0; j < choices_.size(); ++j) {
+  const std::uint64_t adopt_success =
+      util::RngStream::bernoulli_threshold(config_.adopt_success);
+  const std::uint64_t adopt_failure =
+      util::RngStream::bernoulli_threshold(config_.adopt_failure);
+  std::uint32_t* choices = choices_.data();
+  std::uint32_t* popularity = popularity_.data();
+  util::RngStream local = rng;
+  for (std::size_t j = 0; j < population; ++j) {
     const bool success = rewards[j] > 0.0;
-    const double adopt_probability =
-        success ? config_.adopt_success : config_.adopt_failure;
-    if (rng.bernoulli(adopt_probability)) {
-      --popularity_[choices_[j]];
-      choices_[j] = static_cast<std::uint32_t>(options[j]);
-      ++popularity_[choices_[j]];
+    if (local.bernoulli_below(success ? adopt_success : adopt_failure)) {
+      --popularity[choices[j]];
+      choices[j] = static_cast<std::uint32_t>(options[j]);
+      ++popularity[choices[j]];
     }
   }
+  rng = local;
 }
 
 std::vector<double> DistributedMwu::probabilities() const {

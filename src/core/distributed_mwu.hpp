@@ -37,7 +37,8 @@ class DistributedMwu final : public MwuStrategy {
   explicit DistributedMwu(const MwuConfig& config);
 
   void init() override;
-  [[nodiscard]] std::vector<std::size_t> sample(util::RngStream& rng) override;
+  void sample_into(util::RngStream& rng,
+                   std::vector<std::size_t>& out) override;
   void update(std::span<const std::size_t> options,
               std::span<const double> rewards, util::RngStream& rng) override;
   [[nodiscard]] std::vector<double> probabilities() const override;

@@ -26,7 +26,8 @@ class Exp3Mwu final : public MwuStrategy {
   explicit Exp3Mwu(const MwuConfig& config);
 
   void init() override;
-  [[nodiscard]] std::vector<std::size_t> sample(util::RngStream& rng) override;
+  void sample_into(util::RngStream& rng,
+                   std::vector<std::size_t>& out) override;
   void update(std::span<const std::size_t> options,
               std::span<const double> rewards, util::RngStream& rng) override;
   [[nodiscard]] std::vector<double> probabilities() const override;
@@ -55,8 +56,8 @@ class Exp3Mwu final : public MwuStrategy {
   MwuConfig config_;
   std::vector<double> weights_;
   double total_weight_ = 0.0;
-  /// Rebuilt from the exploration-floored probabilities at each sample()
-  /// call; amortizes the build over the n per-agent draws.
+  /// Rebuilt from the exploration-floored probabilities at each
+  /// sample_into() call; amortizes the build over the n per-agent draws.
   util::FenwickSampler sampler_;
   /// Persistent per-cycle scratch: probability vector (sample + update) and
   /// importance-weighted exponents (update, accumulated and cleared

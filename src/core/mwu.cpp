@@ -72,20 +72,23 @@ MwuResult run_mwu(MwuStrategy& strategy, const CostOracle& oracle,
   std::optional<parallel::ThreadPool> workers;
   if (config.eval_threads > 1) workers.emplace(config.eval_threads);
 
+  // One probe, reward, and child-stream buffer per run, reused by every
+  // cycle.
+  std::vector<std::size_t> probes;
   std::vector<double> rewards;
+  std::vector<util::RngStream> streams;
   for (std::size_t t = 0; t < config.max_iterations; ++t) {
     const obs::ScopedTimer cycle_timer(cycle_seconds);
-    const auto probes = strategy.sample(rng);
+    strategy.sample_into(rng, probes);
     rewards.resize(probes.size());
     if (workers) {
-      auto streams = rng.split_n(probes.size());
+      streams.resize(probes.size());
+      for (auto& stream : streams) stream = rng.split();  // probe order
       workers->parallel_for_index(probes.size(), [&](std::size_t j) {
         rewards[j] = oracle.sample(probes[j], streams[j]);
       });
     } else {
-      for (std::size_t j = 0; j < probes.size(); ++j) {
-        rewards[j] = oracle.sample(probes[j], rng);
-      }
+      oracle.sample_batch(probes, rng, rewards);
     }
     strategy.update(probes, rewards, rng);
     // One oracle call per probe, so the cycle's evaluations are its probes.

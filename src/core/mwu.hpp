@@ -3,11 +3,12 @@
 // used by the evaluation harness.
 //
 // Each update cycle has three steps:
-//   1. sample()   — the algorithm names the options its agents will probe
-//                   this cycle (one entry per agent / CPU);
-//   2. (caller)   — each probe is evaluated through a CostOracle, yielding a
-//                   binary reward;
-//   3. update()   — the algorithm folds the rewards back into its state.
+//   1. sample_into() — the algorithm names the options its agents will
+//                      probe this cycle (one entry per agent / CPU) in a
+//                      caller-owned buffer;
+//   2. (caller)      — each probe is evaluated through a CostOracle,
+//                      yielding a binary reward;
+//   3. update()      — the algorithm folds the rewards back into its state.
 // converged() is checked after every update; Table II counts the number of
 // completed cycles, Table IV multiplies by cpus_per_cycle().
 #pragma once
@@ -97,11 +98,22 @@ class MwuStrategy {
   /// Resets state to the initial distribution.
   virtual void init() = 0;
 
-  /// Names the options to probe this cycle (size == cpus_per_cycle()).
-  [[nodiscard]] virtual std::vector<std::size_t> sample(util::RngStream& rng) = 0;
+  /// Names the options to probe this cycle: overwrites `out` with exactly
+  /// cpus_per_cycle() entries, reusing its capacity, so a caller that keeps
+  /// one buffer across cycles allocates nothing after the first.  The one
+  /// sampling entry point every realization implements.
+  virtual void sample_into(util::RngStream& rng,
+                           std::vector<std::size_t>& out) = 0;
+
+  /// sample_into() into a fresh vector (same draws).
+  [[nodiscard]] std::vector<std::size_t> sample(util::RngStream& rng) {
+    std::vector<std::size_t> out;
+    sample_into(rng, out);
+    return out;
+  }
 
   /// Folds this cycle's binary rewards back in.  `options` must be the
-  /// vector returned by the immediately-preceding sample().
+  /// entries named by the immediately-preceding sample_into().
   virtual void update(std::span<const std::size_t> options,
                       std::span<const double> rewards,
                       util::RngStream& rng) = 0;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace mwr::core {
 
@@ -24,6 +25,28 @@ double OptionSet::accuracy_percent(std::size_t chosen) const {
   if (best <= 0.0) return 100.0;  // every option is optimal
   const double err = std::abs(best - value(chosen)) / best;
   return 100.0 * (1.0 - err);
+}
+
+void BernoulliOracle::sample_batch(std::span<const std::size_t> options,
+                                   util::RngStream& rng,
+                                   std::span<double> rewards) const {
+  // Draws from a local copy of the stream, written back at the end (and
+  // before a throw): the options are size_t loads that could alias the
+  // caller's uint64_t generator state, so drawing through `rng` would
+  // store and reload that state around every probe (DESIGN.md §8.5).
+  util::RngStream local = rng;
+  const std::span<const double> values = options_->values();
+  for (std::size_t j = 0; j < options.size(); ++j) {
+    const std::size_t option = options[j];
+    if (option >= values.size()) {
+      rng = local;
+      throw std::out_of_range("BernoulliOracle: option " +
+                              std::to_string(option) + " out of range");
+    }
+    // bool -> double is exactly 1.0 / 0.0, without a branch on a coin flip.
+    rewards[j] = static_cast<double>(local.bernoulli(values[option]));
+  }
+  rng = local;
 }
 
 }  // namespace mwr::core

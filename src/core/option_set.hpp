@@ -58,6 +58,18 @@ class CostOracle {
   /// One stochastic evaluation of `option`; 1.0 = success, 0.0 = failure.
   [[nodiscard]] virtual double sample(std::size_t option,
                                       util::RngStream& rng) const = 0;
+
+  /// Evaluates a whole cycle's probes: rewards[j] = sample(options[j], rng)
+  /// for j = 0, 1, ... in order, so the rewards and the stream's final
+  /// state equal the per-probe loop's.  rewards.size() must equal
+  /// options.size().  Overrides only remove the per-probe virtual call.
+  virtual void sample_batch(std::span<const std::size_t> options,
+                            util::RngStream& rng,
+                            std::span<double> rewards) const {
+    for (std::size_t j = 0; j < options.size(); ++j) {
+      rewards[j] = sample(options[j], rng);
+    }
+  }
 };
 
 /// Bernoulli oracle over an OptionSet: sample(i) ~ Bernoulli(value_i).
@@ -73,6 +85,12 @@ class BernoulliOracle final : public CostOracle {
                               util::RngStream& rng) const override {
     return rng.bernoulli(options_->value(option)) ? 1.0 : 0.0;
   }
+  /// The per-probe loop over values(), out_of_range check included; an
+  /// out-of-range option throws with the stream advanced past exactly the
+  /// probes before it, as sample() would leave it.
+  void sample_batch(std::span<const std::size_t> options,
+                    util::RngStream& rng,
+                    std::span<double> rewards) const override;
 
  private:
   const OptionSet* options_;

@@ -195,8 +195,9 @@ ParallelMwuResult run_standard_spmd(const CostOracle& oracle,
     std::size_t iterations = 0;
     std::uint64_t rank_probes = 0;
     bool converged = false;
+    std::vector<std::size_t> probe;
     for (std::size_t t = 0; t < config.max_iterations; ++t) {
-      const auto probe = replica.sample(rng);
+      replica.sample_into(rng, probe);
       std::vector<double> counts(config.num_options, 0.0);
       counts[probe[0]] += counted.sample(probe[0], rng);
       ++rank_probes;

@@ -28,15 +28,16 @@ RegretTrace run_mwu_with_regret(MwuKind kind, const OptionSet& options,
 
   const double best = options.best_value();
   double cumulative = 0.0;
+  std::vector<std::size_t> probes;
   std::vector<double> rewards;
   for (std::size_t t = 0; t < config.max_iterations; ++t) {
-    const auto probes = strategy->sample(rng);
+    strategy->sample_into(rng, probes);
     rewards.resize(probes.size());
-    for (std::size_t j = 0; j < probes.size(); ++j) {
-      rewards[j] = oracle.sample(probes[j], rng);
-      cumulative += best - options.value(probes[j]);
-      trace.result.evaluations += 1;
+    oracle.sample_batch(probes, rng, rewards);
+    for (const std::size_t option : probes) {
+      cumulative += best - options.value(option);
     }
+    trace.result.evaluations += probes.size();
     strategy->update(probes, rewards, rng);
     trace.cumulative.push_back(cumulative);
     const auto p = strategy->probabilities();

@@ -32,25 +32,50 @@ void SlateMwu::init() {
   total_weight_ = static_cast<double>(config_.num_options);
 }
 
-std::vector<double> SlateMwu::probabilities() const {
+double SlateMwu::materialize_probabilities(std::vector<double>& p,
+                                          double& max_p) const {
+  // p[i] = (1 - gamma) * w[i] / total + floor — the shared
+  // materialize_affine body's expression, so p is unchanged bit for bit —
+  // with the strict left-to-right mass and the maximum folded into the
+  // same pass: the capping fixpoint's first round needs both, and the
+  // divides overlap the mass chain's add latency (DESIGN.md §8.5).
+  const std::size_t k = weights_.size();
   const double gamma = config_.exploration;
-  const double floor = gamma / static_cast<double>(weights_.size());
-  std::vector<double> p(weights_.size());
-  // p[i] = (1 - gamma) * w[i] / total + floor, via the dispatched kernel
-  // (same operation order as the historical scalar loop, no contraction).
-  util::simd::active().materialize_affine(p.data(), weights_.data(),
-                                          weights_.size(), 1.0 - gamma,
-                                          total_weight_, floor);
+  const double scale = 1.0 - gamma;
+  const double floor = gamma / static_cast<double>(k);
+  const double total = total_weight_;
+  p.resize(k);
+  const double* w = weights_.data();
+  double* out = p.data();
+  double mass = 0.0;
+  double max_v = 0.0;
+  for (std::size_t i = 0; i < k; ++i) {
+    const double v = (scale * w[i]) / total + floor;
+    out[i] = v;
+    mass += v;
+    max_v = std::max(max_v, v);
+  }
+  max_p = max_v;
+  return mass;
+}
+
+std::vector<double> SlateMwu::probabilities() const {
+  std::vector<double> p;
+  double max_p = 0.0;
+  (void)materialize_probabilities(p, max_p);
   return p;
 }
 
-std::vector<std::size_t> SlateMwu::sample(util::RngStream& rng) {
-  const auto p = probabilities();
-  const auto q = cap_to_slate_marginals(p, slate_size_);
+void SlateMwu::sample_into(util::RngStream& rng,
+                           std::vector<std::size_t>& out) {
+  double max_p = 0.0;
+  const double mass = materialize_probabilities(p_scratch_, max_p);
+  cap_to_slate_marginals_into(p_scratch_, slate_size_, mass, max_p,
+                              q_scratch_);
   if (sampler_ == Sampler::kDecomposition) {
     // The paper's construction: decompose q into a convex combination of
     // slate vertices and draw one vertex by its coefficient.
-    const auto components = decompose_into_slates(q, slate_size_);
+    const auto components = decompose_into_slates(q_scratch_, slate_size_);
     std::vector<double> coefficients;
     coefficients.reserve(components.size());
     for (const auto& component : components) {
@@ -61,9 +86,12 @@ std::vector<std::size_t> SlateMwu::sample(util::RngStream& rng) {
     // (the decomposition can yield up to 2k components).
     coefficient_sampler_.rebuild(coefficients);
     const std::size_t pick = coefficient_sampler_.sample(rng);
-    return components[std::min(pick, components.size() - 1)].members;
+    const auto& members =
+        components[std::min(pick, components.size() - 1)].members;
+    out.assign(members.begin(), members.end());
+    return;
   }
-  return systematic_sample(q, slate_size_, rng);
+  systematic_sample_into(q_scratch_, slate_size_, rng, out);
 }
 
 void SlateMwu::update(std::span<const std::size_t> options,

@@ -25,7 +25,8 @@ class SlateMwu final : public MwuStrategy {
   explicit SlateMwu(const MwuConfig& config);
 
   void init() override;
-  [[nodiscard]] std::vector<std::size_t> sample(util::RngStream& rng) override;
+  void sample_into(util::RngStream& rng,
+                   std::vector<std::size_t>& out) override;
   void update(std::span<const std::size_t> options,
               std::span<const double> rewards, util::RngStream& rng) override;
   [[nodiscard]] std::vector<double> probabilities() const override;
@@ -64,13 +65,22 @@ class SlateMwu final : public MwuStrategy {
   void set_weights(std::vector<double> weights);
 
  private:
+  /// Writes probabilities() into `p`; returns their strict left-to-right
+  /// sum and sets `max_p` to their maximum.
+  double materialize_probabilities(std::vector<double>& p,
+                                   double& max_p) const;
+
   MwuConfig config_;
   std::size_t slate_size_ = 1;
   std::vector<double> weights_;
   double total_weight_ = 0.0;
   Sampler sampler_ = Sampler::kSystematic;
+  /// Per-cycle probabilities p and capped marginals q, reused by every
+  /// sample_into() call.
+  std::vector<double> p_scratch_;
+  std::vector<double> q_scratch_;
   /// Decomposition mode's coefficient draw (kept as a member so repeated
-  /// sample() calls reuse its storage).
+  /// sample_into() calls reuse its storage).
   util::FenwickSampler coefficient_sampler_;
 };
 

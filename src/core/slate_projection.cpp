@@ -9,6 +9,20 @@ namespace mwr::core {
 
 std::vector<double> cap_to_slate_marginals(std::span<const double> p,
                                            std::size_t slate_size) {
+  double mass = 0.0;
+  double max_p = 0.0;
+  for (const double v : p) {
+    mass += v;
+    max_p = std::max(max_p, v);
+  }
+  std::vector<double> q;
+  cap_to_slate_marginals_into(p, slate_size, mass, max_p, q);
+  return q;
+}
+
+void cap_to_slate_marginals_into(std::span<const double> p,
+                                 std::size_t slate_size, double mass,
+                                 double max_p, std::vector<double>& q) {
   const std::size_t k = p.size();
   const auto s = static_cast<double>(slate_size);
   if (slate_size == 0 || slate_size > k)
@@ -18,53 +32,63 @@ std::vector<double> cap_to_slate_marginals(std::span<const double> p,
   // that overflows 1, repeat.  Each round caps at least one new entry, so at
   // most k rounds run.  An uncapped entry keeps its input value p[i] until
   // the end, so one pass per round both caps and writes the scaled value
-  // (final if nothing new is capped) and folds the surviving p[i] into the
-  // next round's mass — ascending, skipping the capped entries, i.e. the
-  // same strict left-to-right sum a separate pass would take.
-  std::vector<double> q(k);
-  std::vector<unsigned char> capped(k, 0);
+  // and folds the surviving p[i] into the next round's mass — ascending,
+  // skipping the capped entries, i.e. the same strict left-to-right sum a
+  // separate pass would take.
+  //
+  // No flags are kept: q starts at zero, a capped entry holds exactly 1.0
+  // and an uncapped one a scaled value below 1, so q itself marks the
+  // capped set.
+  q.assign(k, 0.0);
   std::size_t num_capped = 0;
-  double uncapped_mass = 0.0;
-  for (std::size_t i = 0; i < k; ++i) uncapped_mass += p[i];
   for (;;) {
     const double target = s - static_cast<double>(num_capped);
     if (target <= 0.0) {
       // All slate slots are consumed by capped entries; zero the rest.
       for (std::size_t i = 0; i < k; ++i) {
-        if (capped[i] == 0) q[i] = 0.0;
+        if (q[i] != 1.0) q[i] = 0.0;
       }
-      break;
+      return;
     }
-    if (uncapped_mass <= 0.0) {
+    if (mass <= 0.0) {
       // Degenerate distribution (all mass capped or zero): spread the
       // remaining slots uniformly over uncapped entries.
-      const double fill =
-          target / static_cast<double>(k - num_capped);
+      const double fill = target / static_cast<double>(k - num_capped);
       for (std::size_t i = 0; i < k; ++i) {
-        if (capped[i] == 0) q[i] = fill;
+        if (q[i] != 1.0) q[i] = fill;
       }
-      break;
+      return;
     }
-    const double scale = target / uncapped_mass;
+    const double scale = target / mass;
+    if (max_p * scale < 1.0) {
+      // The final round, known before it runs: rounding a product is
+      // monotone in p[i], so no p[i] <= max_p scales to the cap, and
+      // nothing needs the next round's mass.
+      for (std::size_t i = 0; i < k; ++i) {
+        if (q[i] != 1.0) q[i] = p[i] * scale;
+      }
+      return;
+    }
     double next_mass = 0.0;
+    double next_max = 0.0;
     bool newly_capped = false;
     for (std::size_t i = 0; i < k; ++i) {
-      if (capped[i] != 0) continue;
+      if (q[i] == 1.0) continue;
       const double scaled = p[i] * scale;
       if (scaled >= 1.0) {
         q[i] = 1.0;
-        capped[i] = 1;
         ++num_capped;
         newly_capped = true;
       } else {
         q[i] = scaled;
         next_mass += p[i];
+        next_max = std::max(next_max, p[i]);
       }
     }
-    if (!newly_capped) break;
-    uncapped_mass = next_mass;
+    if (!newly_capped) return;
+    mass = next_mass;
+    max_p = next_max;
   }
-  return q;
 }
 
 std::vector<SlateComponent> decompose_into_slates(std::span<const double> q,
@@ -127,10 +151,18 @@ std::vector<SlateComponent> decompose_into_slates(std::span<const double> q,
 std::vector<std::size_t> systematic_sample(std::span<const double> q,
                                            std::size_t slate_size,
                                            util::RngStream& rng) {
+  std::vector<std::size_t> selected;
+  systematic_sample_into(q, slate_size, rng, selected);
+  return selected;
+}
+
+void systematic_sample_into(std::span<const double> q, std::size_t slate_size,
+                            util::RngStream& rng,
+                            std::vector<std::size_t>& selected) {
   const std::size_t k = q.size();
   if (slate_size == 0 || slate_size > k)
     throw std::invalid_argument("systematic_sample: bad slate size");
-  std::vector<std::size_t> selected;
+  selected.clear();
   selected.reserve(slate_size);
   // Thresholds u, u+1, ..., u+s-1 walked against the cumulative sum of q.
   // Because each q_i <= 1, at most one threshold falls inside any item, so
@@ -161,7 +193,6 @@ std::vector<std::size_t> systematic_sample(std::span<const double> q,
     }
     std::sort(selected.begin(), selected.end());
   }
-  return selected;
 }
 
 }  // namespace mwr::core

@@ -15,6 +15,9 @@
 //     mixture itself;
 //   - systematic_sample: the O(k) sampler equivalent to drawing one slate
 //     from that mixture, used in the hot loop.
+// The capping fixpoint and the systematic walk each have one
+// implementation, the buffer-filling *_into form a per-cycle caller
+// (SlateMwu) reuses; the vector-returning forms are wrappers over it.
 #pragma once
 
 #include <cstddef>
@@ -38,6 +41,16 @@ struct SlateComponent {
 [[nodiscard]] std::vector<double> cap_to_slate_marginals(
     std::span<const double> p, std::size_t slate_size);
 
+/// cap_to_slate_marginals into a caller-owned `q` (overwritten, sized
+/// p.size()).
+/// `mass` must be the strict left-to-right sum p[0] + p[1] + ... and
+/// `max_p` an upper bound on every p[i] (its maximum is the tightest), so
+/// a caller that computes p can fold both into that pass.  `max_p` only
+/// lets the fixpoint recognize its final round; q does not depend on it.
+void cap_to_slate_marginals_into(std::span<const double> p,
+                                 std::size_t slate_size, double mass,
+                                 double max_p, std::vector<double>& q);
+
 /// Decomposes marginals q (0 <= q_i <= 1, sum = s) into a convex combination
 /// of s-subsets: sum over components of coefficient * indicator(members)
 /// reproduces q, and the coefficients sum to 1.  At most 2k components;
@@ -51,5 +64,10 @@ struct SlateComponent {
 /// indices.
 [[nodiscard]] std::vector<std::size_t> systematic_sample(
     std::span<const double> q, std::size_t slate_size, util::RngStream& rng);
+
+/// systematic_sample into a caller-owned `out` (overwritten).
+void systematic_sample_into(std::span<const double> q, std::size_t slate_size,
+                            util::RngStream& rng,
+                            std::vector<std::size_t>& out);
 
 }  // namespace mwr::core

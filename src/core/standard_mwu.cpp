@@ -24,20 +24,20 @@ void StandardMwu::init() {
   counts_scratch_.assign(config_.num_options, 0.0);
 }
 
-std::vector<std::size_t> StandardMwu::sample(util::RngStream& rng) {
+void StandardMwu::sample_into(util::RngStream& rng,
+                              std::vector<std::size_t>& out) {
   if (config_.full_information) {
     // Weighted majority proper: one probe per option, every cycle.
-    std::vector<std::size_t> assigned(config_.num_options);
-    std::iota(assigned.begin(), assigned.end(), std::size_t{0});
-    return assigned;
+    out.resize(config_.num_options);
+    std::iota(out.begin(), out.end(), std::size_t{0});
+    return;
   }
   // O(log k) per draw instead of the O(k) linear scan; the sampler tracks
   // the weights exactly, so the draw distribution is unchanged.
-  std::vector<std::size_t> assigned(config_.num_agents);
-  for (auto& option : assigned) {
+  out.resize(config_.num_agents);
+  for (auto& option : out) {
     option = sampler_.sample(rng);
   }
-  return assigned;
 }
 
 void StandardMwu::update(std::span<const std::size_t> options,

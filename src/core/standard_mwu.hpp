@@ -29,7 +29,8 @@ class StandardMwu final : public MwuStrategy {
   void init() override;
   /// Bandit mode: num_agents weight-proportional draws.  Full-information
   /// mode: every option exactly once (0, 1, ..., k-1).
-  [[nodiscard]] std::vector<std::size_t> sample(util::RngStream& rng) override;
+  void sample_into(util::RngStream& rng,
+                   std::vector<std::size_t>& out) override;
   void update(std::span<const std::size_t> options,
               std::span<const double> rewards, util::RngStream& rng) override;
   [[nodiscard]] std::vector<double> probabilities() const override;

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -138,6 +139,22 @@ class RngStream {
   /// Bernoulli trial: true with probability p (clamped to [0,1]).
   bool bernoulli(double p) noexcept { return uniform() < p; }
 
+  /// Integer form of bernoulli(p) for a p reused over many trials:
+  /// bernoulli_below(bernoulli_threshold(p)) consumes the same draw and
+  /// returns the same result as bernoulli(p), for every p.  uniform() is
+  /// m * 2^-53 with m = next_u64() >> 11, and p * 2^53 is exact (a power-
+  /// of-two scale of p <= 1), so m * 2^-53 < p  <=>  m < p * 2^53  <=>
+  /// m < ceil(p * 2^53) for integer m.  NaN and p <= 0 never succeed and
+  /// p >= 1 always does, as with uniform() < p.
+  [[nodiscard]] static std::uint64_t bernoulli_threshold(double p) noexcept {
+    if (!(p > 0.0)) return 0;
+    if (p >= 1.0) return std::uint64_t{1} << 53;
+    return static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
+  }
+  bool bernoulli_below(std::uint64_t threshold) noexcept {
+    return (gen_() >> 11) < threshold;
+  }
+
   /// Samples an index from an unnormalized non-negative weight vector.
   /// Returns weights.size() only if the total weight is zero (caller bug);
   /// the MWU implementations guard against that state.
@@ -161,14 +178,6 @@ class RngStream {
   /// sequence), so handing one to each worker thread is safe.
   [[nodiscard]] RngStream split() noexcept {
     return RngStream(gen_() ^ 0xa5a5a5a5a5a5a5a5ULL);
-  }
-
-  /// Derives `n` child streams at once (convenience for fan-out).
-  [[nodiscard]] std::vector<RngStream> split_n(std::size_t n) noexcept {
-    std::vector<RngStream> out;
-    out.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) out.push_back(split());
-    return out;
   }
 
   /// Mid-run checkpoint: the generator's 256-bit state plus the original

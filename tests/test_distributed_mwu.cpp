@@ -2,7 +2,10 @@
 // (alpha/beta/mu), the implicit weight vector, and plurality convergence.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdint>
 #include <numeric>
+#include <vector>
 
 #include "core/distributed_mwu.hpp"
 
@@ -175,6 +178,109 @@ TEST(DistributedMwu, ExplorationKeepsDiversity) {
     if (o != mwu.best_option()) ++non_plurality;
   }
   EXPECT_GT(non_plurality, next.size() / 4);
+}
+
+// The agent loops as first written: every draw through the caller's
+// stream with bernoulli(p).  DistributedMwu's local-stream loops with the
+// integer Bernoulli threshold must reproduce them draw for draw.
+struct ReferenceAgents {
+  MwuConfig config;
+  std::vector<std::uint32_t> choices;
+  std::vector<std::uint32_t> popularity;
+
+  std::vector<std::size_t> sample(util::RngStream& rng) const {
+    std::vector<std::size_t> observed(choices.size());
+    for (auto& option : observed) {
+      if (rng.bernoulli(config.exploration)) {
+        option = rng.uniform_index(config.num_options);
+      } else {
+        option = choices[rng.uniform_index(choices.size())];
+      }
+    }
+    return observed;
+  }
+
+  void update(const std::vector<std::size_t>& options,
+              const std::vector<double>& rewards, util::RngStream& rng) {
+    for (std::size_t j = 0; j < choices.size(); ++j) {
+      const double adopt = rewards[j] > 0.0 ? config.adopt_success
+                                            : config.adopt_failure;
+      if (rng.bernoulli(adopt)) {
+        --popularity[choices[j]];
+        choices[j] = static_cast<std::uint32_t>(options[j]);
+        ++popularity[choices[j]];
+      }
+    }
+  }
+};
+
+void expect_matches_reference_loops(const MwuConfig& config, int cycles,
+                                    std::uint64_t seed) {
+  DistributedMwu mwu(config);
+  ReferenceAgents reference{config, mwu.choices(),
+                            std::vector<std::uint32_t>(config.num_options)};
+  for (const auto c : reference.choices) ++reference.popularity[c];
+  util::RngStream init(seed);
+  std::vector<double> values(config.num_options);
+  for (auto& v : values) v = init.uniform();
+  const OptionSet options("reference", values);
+  const BernoulliOracle oracle(options);
+
+  util::RngStream rng(seed + 1);
+  util::RngStream reference_rng(seed + 1);
+  std::vector<std::size_t> observed;
+  std::vector<double> rewards;
+  for (int cycle = 0; cycle < cycles; ++cycle) {
+    mwu.sample_into(rng, observed);
+    const auto want_observed = reference.sample(reference_rng);
+    ASSERT_EQ(observed, want_observed) << "cycle " << cycle;
+    ASSERT_EQ(rng.state(), reference_rng.state());
+    rewards.resize(observed.size());
+    oracle.sample_batch(observed, rng, rewards);
+    std::vector<double> want_rewards(want_observed.size());
+    for (std::size_t j = 0; j < want_observed.size(); ++j) {
+      want_rewards[j] = oracle.sample(want_observed[j], reference_rng);
+    }
+    ASSERT_EQ(rewards, want_rewards);
+    mwu.update(observed, rewards, rng);
+    reference.update(want_observed, want_rewards, reference_rng);
+    ASSERT_EQ(mwu.choices(), reference.choices) << "cycle " << cycle;
+    ASSERT_EQ(rng.state(), reference_rng.state());
+    const auto census = mwu.probabilities();
+    for (std::size_t i = 0; i < config.num_options; ++i) {
+      ASSERT_EQ(census[i], static_cast<double>(reference.popularity[i]) /
+                               static_cast<double>(mwu.population()));
+    }
+  }
+}
+
+TEST(DistributedMwu, AgentLoopsMatchTheReferenceLoops) {
+  for (const std::size_t k : {64u, 1000u, 1024u}) {
+    expect_matches_reference_loops(config_for(k), k == 64 ? 200 : 4, k);
+  }
+}
+
+TEST(DistributedMwu, AgentLoopsMatchTheReferenceAtExtremeRates) {
+  // mu = 0 (never explore) and mu = 1 (always explore); alpha = 0 (never
+  // adopt a failure) and beta = 1 (always adopt a success), alone and
+  // together; plus a subnormal alpha and rates one ulp from 0.1 and 1.
+  struct Rates {
+    double mu, alpha, beta;
+  };
+  for (const Rates rates : {Rates{0.0, 0.005, 0.9}, Rates{1.0, 0.005, 0.9},
+                            Rates{0.05, 0.0, 0.9}, Rates{0.05, 0.005, 1.0},
+                            Rates{0.0, 0.0, 1.0}, Rates{1.0, 1.0, 1.0},
+                            Rates{0.0, 0.0, 0.0},
+                            Rates{std::nextafter(0.1, 1.0), 0x1.0p-1074,
+                                  1.0 - 0x1.0p-53}}) {
+    for (const std::size_t k : {64u, 1000u}) {
+      auto config = config_for(k);
+      config.exploration = rates.mu;
+      config.adopt_failure = rates.alpha;
+      config.adopt_success = rates.beta;
+      expect_matches_reference_loops(config, k == 64 ? 50 : 3, 7 * k);
+    }
+  }
 }
 
 TEST(DistributedMwu, KindIsDistributed) {

@@ -137,7 +137,8 @@ TEST_F(TableShape, JavaScenariosGiveConsistentStandardCycles) {
 // One golden row per cell: every figure Tables II-IV report, as exact hex
 // floats, so any change to a replication's trajectory or to the fold order
 // of the sweep shows up as a differing row.  A change meant to alter a
-// trajectory rewrites tests/golden/table_cells_256.csv from golden_row().
+// trajectory rewrites the tests/golden/table_cells_*.csv files from
+// golden_row().
 constexpr const char* kGoldenHeader =
     "dataset,kind,iterations_mean,iterations_stddev,accuracy_mean,"
     "cpu_iterations_mean,converged_runs";
@@ -152,20 +153,38 @@ std::string golden_row(const EvalCell& cell) {
   return row;
 }
 
-TEST_F(TableShape, CellsMatchGolden) {
+void expect_cells_match_golden(const std::vector<EvalCell>& cells,
+                               const std::string& file) {
   const std::string path =
-      std::string(MWR_TEST_SOURCE_DIR) + "/tests/golden/table_cells_256.csv";
+      std::string(MWR_TEST_SOURCE_DIR) + "/tests/golden/" + file;
   std::ifstream in(path);
   ASSERT_TRUE(in.is_open()) << "missing golden file " << path;
   std::string line;
   ASSERT_TRUE(std::getline(in, line));
   EXPECT_EQ(line, kGoldenHeader);
-  for (const auto& cell : cells()) {
+  for (const auto& cell : cells) {
     ASSERT_TRUE(std::getline(in, line)) << "golden ends before "
                                         << cell.dataset;
     EXPECT_EQ(golden_row(cell), line);
   }
   EXPECT_FALSE(std::getline(in, line)) << "golden has extra rows: " << line;
+}
+
+TEST_F(TableShape, CellsMatchGolden) {
+  expect_cells_match_golden(cells(), "table_cells_256.csv");
+}
+
+// The k >= 1000 instances (random1024, unimodal1024, units) are where
+// Distributed's population passes 30,000 agents and Slate caps ~1000
+// marginals per cycle — scales the k <= 256 sweep never reaches.  One seed
+// keeps the sweep about a second.
+TEST(TableGolden, LargeKCellsMatchGolden) {
+  EvalConfig config;
+  config.seeds = 1;
+  config.max_size = 1024;
+  config.master_seed = 20210525;
+  config.threads = 2;
+  expect_cells_match_golden(run_evaluation(config), "table_cells_1024.csv");
 }
 
 }  // namespace

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 #include <thread>
+#include <vector>
 
 #include "core/option_set.hpp"
 
@@ -75,6 +77,75 @@ TEST(BernoulliOracle, DegenerateValuesAreDeterministic) {
     EXPECT_DOUBLE_EQ(oracle.sample(0, rng), 0.0);
     EXPECT_DOUBLE_EQ(oracle.sample(1, rng), 1.0);
   }
+}
+
+// A batch must be the per-probe loop, draw for draw: the same rewards and
+// the same final stream state.
+void expect_batch_matches_per_probe(const CostOracle& oracle,
+                                    const std::vector<std::size_t>& probes,
+                                    std::uint64_t seed) {
+  util::RngStream per_probe(seed);
+  std::vector<double> want(probes.size());
+  for (std::size_t j = 0; j < probes.size(); ++j) {
+    want[j] = oracle.sample(probes[j], per_probe);
+  }
+  util::RngStream batched(seed);
+  std::vector<double> got(probes.size(), -1.0);
+  oracle.sample_batch(probes, batched, got);
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(batched.state(), per_probe.state());
+}
+
+std::vector<std::size_t> random_probes(std::size_t count, std::size_t k,
+                                       std::uint64_t seed) {
+  util::RngStream rng(seed);
+  std::vector<std::size_t> probes(count);
+  for (auto& probe : probes) probe = rng.uniform_index(k);
+  return probes;
+}
+
+TEST(BernoulliOracle, SampleBatchEqualsPerProbeLoop) {
+  util::RngStream init(11);
+  std::vector<double> values(257);
+  for (auto& v : values) v = init.uniform();
+  values[0] = 0.0;
+  values[1] = 1.0;
+  values[2] = 0x1.0p-53;
+  const OptionSet options("batch", values);
+  const BernoulliOracle oracle(options);
+  for (const std::size_t count : {0u, 1u, 7u, 1000u, 32769u}) {
+    expect_batch_matches_per_probe(
+        oracle, random_probes(count, values.size(), count), 100 + count);
+  }
+}
+
+// An oracle that keeps CostOracle's default sample_batch.
+class HalfOracle final : public CostOracle {
+ public:
+  [[nodiscard]] std::size_t num_options() const override { return 4; }
+  [[nodiscard]] double sample(std::size_t option,
+                              util::RngStream& rng) const override {
+    return rng.uniform() < 0.25 * static_cast<double>(option) ? 1.0 : 0.0;
+  }
+};
+
+TEST(CostOracle, DefaultSampleBatchIsThePerProbeLoop) {
+  const HalfOracle oracle;
+  expect_batch_matches_per_probe(oracle, random_probes(500, 4, 5), 6);
+}
+
+TEST(BernoulliOracle, SampleBatchRejectsOutOfRangeAfterTheProbesBeforeIt) {
+  const OptionSet options("demo", {0.5, 0.5});
+  const BernoulliOracle oracle(options);
+  const std::vector<std::size_t> probes = {0, 1, 1, 2, 0};
+  util::RngStream per_probe(9);
+  for (std::size_t j = 0; j < 3; ++j) (void)oracle.sample(probes[j], per_probe);
+  EXPECT_THROW((void)oracle.sample(probes[3], per_probe), std::out_of_range);
+  util::RngStream batched(9);
+  std::vector<double> rewards(probes.size());
+  EXPECT_THROW(oracle.sample_batch(probes, batched, rewards),
+               std::out_of_range);
+  EXPECT_EQ(batched.state(), per_probe.state());
 }
 
 TEST(CountingOracle, CountsEveryEvaluation) {

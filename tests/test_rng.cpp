@@ -4,9 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <ios>
 #include <numeric>
 #include <set>
 #include <utility>
+#include <vector>
 
 #include "util/rng.hpp"
 
@@ -116,6 +120,70 @@ TEST(RngStream, BernoulliHitsItsRate) {
   constexpr int kSamples = 100000;
   for (int i = 0; i < kSamples; ++i) hits += rng.bernoulli(0.3) ? 1 : 0;
   EXPECT_NEAR(static_cast<double>(hits) / kSamples, 0.3, 0.01);
+}
+
+// uniform() maps the draw's top 53 bits m to m * 2^-53.  Both
+// uniform() < p and m < bernoulli_threshold(p) are "m below a cutoff", so
+// they agree for every m exactly when they agree on either side of the
+// threshold T: at m = T - 1 (both true) and m = T (both false).
+void expect_threshold_exact(double p) {
+  constexpr std::uint64_t kTop = std::uint64_t{1} << 53;
+  const std::uint64_t t = RngStream::bernoulli_threshold(p);
+  ASSERT_LE(t, kTop) << p;
+  const auto below_p = [p](std::uint64_t m) {
+    return static_cast<double>(m) * 0x1.0p-53 < p;
+  };
+  if (t > 0) {
+    EXPECT_TRUE(below_p(t - 1)) << std::hexfloat << p;
+  }
+  if (t < kTop) {
+    EXPECT_FALSE(below_p(t)) << std::hexfloat << p;
+  }
+  EXPECT_EQ(below_p(0), t > 0) << std::hexfloat << p;
+  EXPECT_EQ(below_p(kTop - 1), t == kTop) << std::hexfloat << p;
+}
+
+TEST(RngStream, BernoulliThresholdIsExactOnTheGridAndBetween) {
+  std::vector<std::uint64_t> grid = {0, 1, 2, 3, (std::uint64_t{1} << 53) - 1};
+  for (int e = 1; e < 53; ++e) {
+    const std::uint64_t m = std::uint64_t{1} << e;
+    grid.insert(grid.end(), {m - 1, m, m + 1});
+  }
+  RngStream rng(17);
+  for (int i = 0; i < 2000; ++i) grid.push_back(rng.next_u64() >> 11);
+  for (const std::uint64_t m : grid) {
+    const double p = static_cast<double>(m) * 0x1.0p-53;  // exact
+    expect_threshold_exact(p);
+    expect_threshold_exact(std::nextafter(p, 0.0));
+    expect_threshold_exact(std::nextafter(p, 2.0));
+  }
+  for (const double p : {0.0, -0.0, 1.0, 0.05, 0.005, 0.9, 0.5,
+                         0x1.0p-1074, 0x1.0p-1060, 0x1.0p-1022,
+                         std::nextafter(0x1.0p-1022, 0.0), 0x1.0p-54,
+                         std::nextafter(1.0, 0.0), std::nextafter(1.0, 2.0)}) {
+    expect_threshold_exact(p);
+  }
+}
+
+TEST(RngStream, BernoulliThresholdOutsideTheUnitInterval) {
+  EXPECT_EQ(RngStream::bernoulli_threshold(-0.5), 0u);
+  EXPECT_EQ(RngStream::bernoulli_threshold(std::nan("")), 0u);
+  EXPECT_EQ(RngStream::bernoulli_threshold(2.0), std::uint64_t{1} << 53);
+  EXPECT_EQ(RngStream::bernoulli_threshold(HUGE_VAL), std::uint64_t{1} << 53);
+}
+
+TEST(RngStream, BernoulliBelowReplaysBernoulli) {
+  // Same draws, same outcomes, same final state as bernoulli(p).
+  for (const double p : {0.0, 0x1.0p-1074, 0.005, 0.05, 0.5, 0.9,
+                         std::nextafter(1.0, 0.0), 1.0}) {
+    RngStream a(23);
+    RngStream b(23);
+    const std::uint64_t t = RngStream::bernoulli_threshold(p);
+    for (int i = 0; i < 5000; ++i) {
+      ASSERT_EQ(a.bernoulli_below(t), b.bernoulli(p)) << p;
+    }
+    EXPECT_EQ(a.state(), b.state());
+  }
 }
 
 TEST(RngStream, WeightedChoiceRespectsWeights) {
@@ -236,12 +304,6 @@ TEST(RngStream, SplitProducesIndependentStreams) {
     if (child1.next_u64() == child2.next_u64()) ++matches;
   }
   EXPECT_EQ(matches, 0);
-}
-
-TEST(RngStream, SplitNProducesRequestedCount) {
-  RngStream parent(19);
-  const auto children = parent.split_n(8);
-  EXPECT_EQ(children.size(), 8u);
 }
 
 TEST(RngStream, SplitIsDeterministicFromParentSeed) {

@@ -4,13 +4,17 @@
 // weight vector into a convex combination of slates).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <numeric>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "core/slate_mwu.hpp"
 #include "core/slate_projection.hpp"
+#include "util/fenwick_sampler.hpp"
 
 namespace mwr::core {
 namespace {
@@ -177,6 +181,167 @@ TEST(CapToSlateMarginals, BitIdenticalToTwoPassReferenceAlongASlateRun) {
       rewards[j] = rng.uniform() < rate ? 1.0 : 0.0;
     }
     mwu.update(slate, rewards, rng);
+  }
+}
+
+// The buffer-filling fixpoint, as SlateMwu drives it: a reused q whose
+// stale contents must not leak in (capped entries are marked by
+// q_i == 1.0), for any upper bound max_p.
+void expect_cap_into_matches_reference(const std::vector<double>& p,
+                                       std::size_t slate_size,
+                                       std::vector<double>& q) {
+  const auto want = reference_cap(p, slate_size);
+  double mass = 0.0;
+  double max_p = 0.0;
+  for (const double v : p) {
+    mass += v;
+    max_p = std::max(max_p, v);
+  }
+  for (const double loose : {max_p, 2.0 * max_p + 1.0}) {
+    for (const double stale : {1.0, 0.0, 0.5}) {
+      q.assign(p.size() + 3, stale);
+      cap_to_slate_marginals_into(p, slate_size, mass, loose, q);
+      ASSERT_EQ(q.size(), want.size());
+      EXPECT_EQ(std::memcmp(q.data(), want.data(), q.size() * sizeof(double)),
+                0)
+          << "k=" << p.size() << " s=" << slate_size << " stale=" << stale;
+    }
+  }
+}
+
+TEST(CapToSlateMarginals, IntoIgnoresStaleBufferAndLooseBound) {
+  std::vector<double> q;
+  // Multi-round capping, both branch exits, and the plain one-round case.
+  const std::vector<std::pair<std::vector<double>, std::size_t>> cases = {
+      {{0.46, 0.44, 0.05, 0.05}, 3},       // two rounds of caps
+      {{0.5, 0.5, 0.0, 0.0}, 2},           // caps fill the slate: target <= 0
+      {{1.0, 0.0, 0.0, 0.0}, 2},           // capped mass leaves zero mass
+      {{0.0, 0.0, 0.0, 0.0, 0.0}, 3},      // zero mass from the start
+      {{0.25, 0.25, 0.25, 0.25}, 4},       // everything capped at once
+      {{0.1, 0.2, 0.3, 0.4}, 1},           // nothing caps
+  };
+  for (const auto& [p, slate_size] : cases) {
+    expect_cap_into_matches_reference(p, slate_size, q);
+  }
+  for (std::size_t k = 1; k <= 1100; k += 37) {
+    for (const std::size_t slate_size :
+         {std::size_t{1}, SlateMwu::slate_size_for(k, 0.05), (k + 1) / 2}) {
+      expect_cap_into_matches_reference(peaked_random(k, 77 + k), slate_size,
+                                        q);
+      expect_cap_into_matches_reference(normalized_random(k, 99 + k),
+                                        slate_size, q);
+    }
+  }
+}
+
+// The systematic walk as first written (vector-returning, its own buffer).
+std::vector<std::size_t> reference_systematic(std::span<const double> q,
+                                              std::size_t slate_size,
+                                              util::RngStream& rng) {
+  const std::size_t k = q.size();
+  std::vector<std::size_t> selected;
+  double next_threshold = rng.uniform();
+  double cumulative = 0.0;
+  for (std::size_t i = 0; i < k && selected.size() < slate_size; ++i) {
+    cumulative += q[i];
+    if (next_threshold < cumulative) {
+      selected.push_back(i);
+      next_threshold += 1.0;
+    }
+  }
+  if (selected.size() < slate_size) {
+    std::vector<bool> in(k, false);
+    for (std::size_t i : selected) in[i] = true;
+    std::vector<std::size_t> rest;
+    for (std::size_t i = 0; i < k; ++i) {
+      if (!in[i]) rest.push_back(i);
+    }
+    std::sort(rest.begin(), rest.end(),
+              [&](std::size_t a, std::size_t b) { return q[a] > q[b]; });
+    for (std::size_t i : rest) {
+      if (selected.size() == slate_size) break;
+      selected.push_back(i);
+    }
+    std::sort(selected.begin(), selected.end());
+  }
+  return selected;
+}
+
+TEST(SystematicSample, IntoMatchesReferenceOnAForcedShortfall) {
+  // sum(q) = 1.99 < s = 2: a first threshold u >= 0.99 selects only
+  // index 2 and leaves the second (u + 1) beyond the cumulative total, so
+  // the fill path completes the slate with the highest-q unselected entry.
+  const std::vector<double> q = {0.6, 0.39, 0.5, 0.5};
+  std::uint64_t seed = 1;
+  while (util::RngStream(seed).uniform() < 0.995) ++seed;
+  util::RngStream rng(seed);
+  util::RngStream reference_rng(seed);
+  std::vector<std::size_t> out = {7, 7, 7, 7, 7};  // stale contents
+  systematic_sample_into(q, 2, rng, out);
+  const auto want = reference_systematic(q, 2, reference_rng);
+  EXPECT_EQ(out, want);
+  EXPECT_EQ(out, (std::vector<std::size_t>{0, 2}));  // the fill picked index 0
+  EXPECT_EQ(rng.state(), reference_rng.state());
+}
+
+// Drives a Slate learner to a peaked state so later cycles cap over
+// several rounds; rewards favour every 97th option.
+void slate_step(SlateMwu& mwu, const std::vector<std::size_t>& slate,
+                util::RngStream& rng) {
+  std::vector<double> rewards(slate.size());
+  for (std::size_t j = 0; j < slate.size(); ++j) {
+    const double rate = slate[j] % 97 == 3 ? 0.9 : 0.2;
+    rewards[j] = rng.uniform() < rate ? 1.0 : 0.0;
+  }
+  mwu.update(slate, rewards, rng);
+}
+
+TEST(SlateMwu, SampleIntoMatchesReferenceCapAndWalkAlongARun) {
+  for (const double gamma : {0.05, 0.3}) {
+    MwuConfig config;
+    config.num_options = 1024;
+    config.exploration = gamma;
+    SlateMwu mwu(config);
+    util::RngStream rng(11);
+    std::vector<std::size_t> slate;
+    for (int cycle = 0; cycle < 1500; ++cycle) {
+      util::RngStream reference_rng = rng;
+      const auto q =
+          reference_cap(mwu.probabilities(), mwu.slate_size());
+      const auto want =
+          reference_systematic(q, mwu.slate_size(), reference_rng);
+      mwu.sample_into(rng, slate);
+      ASSERT_EQ(slate, want) << "gamma " << gamma << " cycle " << cycle;
+      ASSERT_EQ(rng.state(), reference_rng.state());
+      slate_step(mwu, slate, rng);
+    }
+  }
+}
+
+TEST(SlateMwu, DecompositionSampleIntoMatchesReferenceAlongARun) {
+  MwuConfig config;
+  config.num_options = 64;
+  config.exploration = 0.1;
+  SlateMwu mwu(config);
+  mwu.set_sampler(SlateMwu::Sampler::kDecomposition);
+  util::RngStream rng(13);
+  std::vector<std::size_t> slate = {1, 2, 3};  // stale contents
+  for (int cycle = 0; cycle < 300; ++cycle) {
+    util::RngStream reference_rng = rng;
+    const auto components = decompose_into_slates(
+        reference_cap(mwu.probabilities(), mwu.slate_size()),
+        mwu.slate_size());
+    std::vector<double> coefficients;
+    for (const auto& component : components) {
+      coefficients.push_back(component.coefficient);
+    }
+    const util::FenwickSampler draw(coefficients);
+    const std::size_t pick =
+        std::min(draw.sample(reference_rng), components.size() - 1);
+    mwu.sample_into(rng, slate);
+    ASSERT_EQ(slate, components[pick].members) << "cycle " << cycle;
+    ASSERT_EQ(rng.state(), reference_rng.state());
+    slate_step(mwu, slate, rng);
   }
 }
 
