@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <optional>
 
 #include "apr/campaign_session.hpp"
 #include "parallel/thread_pool.hpp"
@@ -37,11 +36,9 @@ CampaignOutcome run_campaign(const datasets::ScenarioSpec& base,
   // Servers drive the same session a few cycles at a time instead
   // (serve/server.hpp).
   CampaignSession session(base, config);
-  std::optional<parallel::ThreadPool> workers;
-  if (config.repair.eval_threads > 1) workers.emplace(config.repair.eval_threads);
+  parallel::ThreadPool workers(config.repair.eval_threads);
   while (!session.done()) {
-    session.step(std::numeric_limits<std::size_t>::max(),
-                 workers ? &*workers : nullptr);
+    session.step(std::numeric_limits<std::size_t>::max(), &workers);
   }
   return session.outcome();
 }

@@ -92,18 +92,11 @@ std::size_t MutationPool::revalidate(const TestOracle& oracle,
   // the pool and erase serially afterwards — same survivors, same order,
   // as the historical serial erase_if.
   std::vector<char> keep(pool_.size(), 1);
-  if (threads > 1 && pool_.size() > 1) {
-    parallel::ThreadPool workers(threads);
-    workers.parallel_for_index(pool_.size(), [&](std::size_t i) {
-      const Evaluation e = oracle.evaluate({&pool_[i], 1});
-      keep[i] = (e.required_passed == e.required_total) ? 1 : 0;
-    });
-  } else {
-    for (std::size_t i = 0; i < pool_.size(); ++i) {
-      const Evaluation e = oracle.evaluate({&pool_[i], 1});
-      keep[i] = (e.required_passed == e.required_total) ? 1 : 0;
-    }
-  }
+  parallel::ThreadPool workers(threads);
+  workers.parallel_for_index(pool_.size(), [&](std::size_t i) {
+    const Evaluation e = oracle.evaluate({&pool_[i], 1});
+    keep[i] = (e.required_passed == e.required_total) ? 1 : 0;
+  });
   std::size_t write = 0;
   for (std::size_t i = 0; i < pool_.size(); ++i) {
     if (keep[i]) pool_[write++] = pool_[i];

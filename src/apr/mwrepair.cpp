@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 #include <stdexcept>
 
 #include "apr/repair_session.hpp"
@@ -47,10 +46,8 @@ RepairOutcome MwRepair::run(const TestOracle& oracle,
   // The expensive suite runs fan out over the worker pool; everything
   // stochastic (patch draws, proxy-acceptance draws) happens sequentially
   // first, so the outcome is identical for any eval_threads value.
-  std::optional<parallel::ThreadPool> workers;
-  if (config_.eval_threads > 1) workers.emplace(config_.eval_threads);
-
-  while (!session.step(workers ? &*workers : nullptr)) {
+  parallel::ThreadPool workers(config_.eval_threads);
+  while (!session.step(&workers)) {
   }
   return session.outcome();
 }

@@ -83,12 +83,8 @@ std::vector<EvalCell> run_evaluation(const EvalConfig& config) {
     outcomes[unit] =
         run_replication(suite[index / 3], config, cell.kind, unit % seeds);
   };
-  if (config.threads > 1) {
-    parallel::ThreadPool workers(config.threads);
-    workers.parallel_for_index(outcomes.size(), compute);
-  } else {
-    for (std::size_t u = 0; u < outcomes.size(); ++u) compute(u);
-  }
+  parallel::ThreadPool workers(config.threads);
+  workers.parallel_for_index(outcomes.size(), compute);
   for (std::size_t index = 0; index < cells.size(); ++index) {
     EvalCell& cell = cells[index];
     if (cell.intractable) continue;

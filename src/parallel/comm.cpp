@@ -7,6 +7,7 @@
 
 #include "obs/registry.hpp"
 #include "parallel/superstep.hpp"
+#include "parallel/thread_pool.hpp"
 #include "parallel/transport/transport.hpp"
 #include "util/sync.hpp"
 
@@ -37,12 +38,6 @@ struct CommMetrics {
 CommMetrics& comm_metrics() {
   static CommMetrics metrics;
   return metrics;
-}
-
-std::size_t resolved_worker_count(const RunPolicy& policy) {
-  if (policy.workers != 0) return policy.workers;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<std::size_t>(hw);
 }
 }  // namespace
 
@@ -411,7 +406,7 @@ void CommWorld::run(const std::function<void(Comm&)>& body) {
       // is no more oversubscribed than the engine's pool and skips the
       // fiber machinery.  Beyond that, thread-per-rank degrades (and
       // eventually fails to spawn) — multiplex.
-      if (layout_.local_count() > resolved_worker_count(policy_)) {
+      if (layout_.local_count() > resolve_worker_count(policy_.workers)) {
         run_superstep(body);
       } else {
         run_thread_per_rank(body);

@@ -112,15 +112,7 @@ void* seed_fast_stack(char* stack, std::size_t stack_bytes, void (*entry)()) {
 Fiber::Fiber(std::function<void()> entry, std::size_t stack_bytes)
     : entry_(std::move(entry)),
       stack_bytes_(stack_bytes < 16 * 1024 ? 16 * 1024 : stack_bytes),
-      stack_(new char[stack_bytes_]) {
-  stack_base_ = stack_.get();
-}
-
-Fiber::Fiber(std::function<void()> entry, char* stack, std::size_t stack_bytes)
-    : entry_(std::move(entry)), stack_bytes_(stack_bytes), stack_base_(stack) {
-  if (stack == nullptr || stack_bytes < 16 * 1024)
-    throw std::invalid_argument("Fiber: external stack null or too small");
-}
+      stack_(new char[stack_bytes_]) {}
 
 Fiber::~Fiber() = default;
 
@@ -139,7 +131,7 @@ void Fiber::resume() {
   assert(!finished_ && "resume on finished fiber");
   assert(current_fiber == nullptr && "fibers do not nest");
   if (!started_) {
-    fast_sp_ = seed_fast_stack(stack_base_, stack_bytes_, &Fiber::fast_entry);
+    fast_sp_ = seed_fast_stack(stack_.get(), stack_bytes_, &Fiber::fast_entry);
     started_ = true;
   }
   current_fiber = this;
@@ -158,16 +150,6 @@ Fiber::Fiber(std::function<void()> entry, std::size_t stack_bytes)
     : entry_(std::move(entry)),
       stack_bytes_(stack_bytes < 16 * 1024 ? 16 * 1024 : stack_bytes),
       stack_(new char[stack_bytes_]) {
-  stack_base_ = stack_.get();
-#if defined(MWR_FIBER_TSAN)
-  tsan_fiber_ = __tsan_create_fiber(0);
-#endif
-}
-
-Fiber::Fiber(std::function<void()> entry, char* stack, std::size_t stack_bytes)
-    : entry_(std::move(entry)), stack_bytes_(stack_bytes), stack_base_(stack) {
-  if (stack == nullptr || stack_bytes < 16 * 1024)
-    throw std::invalid_argument("Fiber: external stack null or too small");
 #if defined(MWR_FIBER_TSAN)
   tsan_fiber_ = __tsan_create_fiber(0);
 #endif
@@ -214,7 +196,7 @@ void Fiber::resume() {
   if (!started_) {
     if (getcontext(&context_) != 0)
       throw std::runtime_error("Fiber: getcontext failed");
-    context_.uc_stack.ss_sp = stack_base_;
+    context_.uc_stack.ss_sp = stack_.get();
     context_.uc_stack.ss_size = stack_bytes_;
     context_.uc_link = nullptr;
     const auto address = reinterpret_cast<std::uintptr_t>(this);
@@ -232,7 +214,7 @@ void Fiber::resume() {
 #endif
 #if defined(MWR_FIBER_ASAN)
   void* worker_fake_stack = nullptr;
-  __sanitizer_start_switch_fiber(&worker_fake_stack, stack_base_,
+  __sanitizer_start_switch_fiber(&worker_fake_stack, stack_.get(),
                                  stack_bytes_);
 #endif
   swapcontext(&return_context, &context_);

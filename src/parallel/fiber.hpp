@@ -48,10 +48,6 @@ class Fiber {
   /// Prepares (but does not start) a fiber executing `entry`, allocating
   /// a private stack.
   Fiber(std::function<void()> entry, std::size_t stack_bytes);
-  /// Same, but on a caller-owned stack (recycled across runs by the
-  /// persistent superstep engine).  The stack must stay valid for the
-  /// fiber's lifetime and must not be shared with a live fiber.
-  Fiber(std::function<void()> entry, char* stack, std::size_t stack_bytes);
   ~Fiber();
 
   Fiber(const Fiber&) = delete;
@@ -78,8 +74,7 @@ class Fiber {
 
   std::function<void()> entry_;
   std::size_t stack_bytes_;
-  std::unique_ptr<char[]> stack_;   // owned storage; null for external stacks.
-  char* stack_base_ = nullptr;      // the stack in use, owned or external.
+  std::unique_ptr<char[]> stack_;
   ucontext_t context_{};
   ucontext_t* return_context_ = nullptr;
   // Fast-switch substrate: the fiber's saved stack pointer and the worker

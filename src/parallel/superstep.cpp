@@ -1,15 +1,13 @@
 #include "parallel/superstep.hpp"
 
-#include <algorithm>
-#include <atomic>
 #include <deque>
 #include <exception>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "obs/registry.hpp"
+#include "parallel/thread_pool.hpp"
 #include "util/sync.hpp"
 #include "util/thread_annotations.hpp"
 
@@ -38,18 +36,10 @@ EngineMetrics& engine_metrics() {
   return metrics;
 }
 
-std::size_t resolve_workers(std::size_t requested) {
-  if (requested != 0) return requested;
-  const auto hw = static_cast<std::size_t>(std::thread::hardware_concurrency());
-  return hw == 0 ? 1 : hw;
-}
 }  // namespace
 
 struct SuperstepEngine::Impl {
   enum class State : unsigned char { kRunnable, kRunning, kBlocked, kFinished };
-  // What the persistent pool is currently doing.  Workers park while
-  // kIdle; a submission flips the mode, bumps `epoch`, and broadcasts.
-  enum class Mode : unsigned char { kIdle, kFibers, kParallelFor };
 
   struct RankSlot {
     std::unique_ptr<Fiber> fiber;
@@ -60,57 +50,38 @@ struct SuperstepEngine::Impl {
     bool wake_pending = false;
   };
 
-  std::size_t nranks;
-  std::size_t nworkers;
-  std::size_t stack_bytes;
+  Impl(std::size_t ranks, std::size_t workers, std::size_t stack)
+      : nranks(ranks), stack_bytes(stack), pool(workers) {}
+
+  const std::size_t nranks;
+  const std::size_t stack_bytes;
 
   // Engine shutdown lock ordering: `mutex` is the innermost lock — no
   // fiber body code runs while a worker holds it (fibers resume only
   // after the worker drops it), so it can never invert against the
   // Mailbox/CountingBarrier locks a rank body takes.
   util::Mutex mutex;
-  util::CondVar cv;       // workers: new job / runnable rank / shutdown.
-  util::CondVar done_cv;  // submitter: all participants left the job.
+  util::CondVar cv;  // drainers: runnable rank / every rank finished.
 
-  // --- persistent pool (spawned lazily on first submission) ---
-  std::vector<std::thread> threads;
-  bool shutdown MWR_GUARDED_BY(mutex) = false;
-  Mode mode MWR_GUARDED_BY(mutex) = Mode::kIdle;
-  std::uint64_t epoch MWR_GUARDED_BY(mutex) = 0;    // bumps per submission.
-  std::size_t remaining MWR_GUARDED_BY(mutex) = 0;  // workers still in job.
-
-  // --- fiber-mode job state ---
   // `slots` is structurally written (resize, fiber/token setup) only in
-  // run()'s pre-submission section, under the lock while the pool is
-  // idle; per-slot state/wake_pending mutate under the lock for real.  A
-  // worker resumes `slot.fiber` through a reference taken under the lock
-  // while the slot is in State::kRunning, which the state machine makes
-  // exclusive.
+  // run() before the drain starts and after it ends; per-slot
+  // state/wake_pending mutate under the lock for real.  A worker resumes
+  // `slot.fiber` through a reference taken under the lock while the slot
+  // is in State::kRunning, which the state machine makes exclusive.
   std::vector<RankSlot> slots MWR_GUARDED_BY(mutex);
-  // One lazily-allocated stack per rank, recycled across runs: run N+1's
-  // fibers are seeded on run N's (cold again) stacks, so a resident
-  // engine pays the stack allocations once, not once per epoch.
-  std::vector<std::unique_ptr<char[]>> rank_stacks MWR_GUARDED_BY(mutex);
   std::deque<int> runnable MWR_GUARDED_BY(mutex);
   std::size_t unfinished MWR_GUARDED_BY(mutex) = 0;
   std::size_t running MWR_GUARDED_BY(mutex) = 0;
   // Ranks suspended in waits an external agent (a transport drain thread)
   // can satisfy; while nonzero, all-blocked is not a deadlock.
   std::size_t external_waiters MWR_GUARDED_BY(mutex) = 0;
+  bool active MWR_GUARDED_BY(mutex) = false;  // a run() is in flight.
   bool aborting MWR_GUARDED_BY(mutex) = false;
   std::size_t aborted_ranks MWR_GUARDED_BY(mutex) = 0;
   std::exception_ptr first_error MWR_GUARDED_BY(mutex);
 
-  // --- parallel_for job state ---
-  // The split is fixed before fan-out: chunk size is a pure function of
-  // (count, nworkers), and the atomic cursor hands out the pre-decided
-  // contiguous chunks in order.  Participants read the job shape under
-  // the lock before pulling chunks unlocked.
-  const std::function<void(std::size_t)>* for_fn MWR_GUARDED_BY(mutex) =
-      nullptr;
-  std::size_t for_count MWR_GUARDED_BY(mutex) = 0;
-  std::size_t for_chunk MWR_GUARDED_BY(mutex) = 1;
-  std::atomic<std::size_t> for_cursor{0};
+  // The workers: every participant of a run drains the same fiber set.
+  ThreadPool pool;
 
   // Makes `rank` runnable and pokes one worker.
   void enqueue_locked(int rank) MWR_REQUIRES(mutex) {
@@ -138,20 +109,8 @@ struct SuperstepEngine::Impl {
     cv.notify_all();
   }
 
-  // Spawns the pool on first submission (idempotent).  Lazy so an engine
-  // that is constructed but never driven costs no threads, and so a
-  // single-worker engine used purely for inline parallel_for sweeps
-  // never spawns at all.
-  void ensure_threads_locked() MWR_REQUIRES(mutex) {
-    if (!threads.empty()) return;
-    threads.reserve(nworkers);
-    for (std::size_t w = 0; w < nworkers; ++w) {
-      threads.emplace_back([this] { worker_loop(); });
-    }
-  }
-
-  // Drains the current fiber job: schedule runnable ranks until every
-  // rank finished.  Entered and exited holding the lock.
+  // Schedules runnable ranks until every rank finished.  Entered and
+  // exited holding the lock.
   void drain_fibers_locked(util::MutexLock& lock) MWR_REQUIRES(mutex) {
     for (;;) {
       while (runnable.empty() && unfinished != 0) cv.wait(mutex);
@@ -185,97 +144,41 @@ struct SuperstepEngine::Impl {
     }
   }
 
-  // Pulls pre-split chunks off the cursor until the index space drains.
-  // Runs unlocked; an fn exception is recorded (first wins) and fast-
-  // forwards the cursor so peers stop pulling new chunks.
-  void drain_parallel_for(const std::function<void(std::size_t)>& fn,
-                          std::size_t count, std::size_t chunk)
-      MWR_EXCLUDES(mutex) {
-    for (;;) {
-      const std::size_t begin =
-          for_cursor.fetch_add(chunk, std::memory_order_relaxed);
-      if (begin >= count) return;
-      const std::size_t end = std::min(begin + chunk, count);
-      for (std::size_t i = begin; i < end; ++i) {
-        try {
-          fn(i);
-        } catch (...) {
-          util::MutexLock lock(mutex);
-          if (!first_error) first_error = std::current_exception();
-          for_cursor.store(count, std::memory_order_relaxed);
-          return;
-        }
-      }
-    }
-  }
-
-  void worker_loop() MWR_EXCLUDES(mutex) {
+  // One participant's share of a run.
+  void drain_fibers() MWR_EXCLUDES(mutex) {
     util::MutexLock lock(mutex);
-    std::uint64_t seen = 0;
-    for (;;) {
-      while (!shutdown && (mode == Mode::kIdle || epoch == seen))
-        cv.wait(mutex);
-      if (shutdown) return;
-      seen = epoch;
-      if (mode == Mode::kFibers) {
-        drain_fibers_locked(lock);
-      } else {
-        const std::function<void(std::size_t)>* fn = for_fn;
-        const std::size_t count = for_count;
-        const std::size_t chunk = for_chunk;
-        lock.unlock();
-        drain_parallel_for(*fn, count, chunk);
-        lock.lock();
-      }
-      if (--remaining == 0) done_cv.notify_all();
-    }
+    drain_fibers_locked(lock);
   }
 };
 
-SuperstepEngine::SuperstepEngine(std::size_t ranks, Config config)
-    : impl_(std::make_unique<Impl>()) {
+SuperstepEngine::SuperstepEngine(std::size_t ranks, Config config) {
   if (ranks == 0)
     throw std::invalid_argument("SuperstepEngine needs >= 1 rank");
-  impl_->nranks = ranks;
-  impl_->nworkers = resolve_workers(config.workers);
-  impl_->stack_bytes = config.stack_bytes;
+  impl_ = std::make_unique<Impl>(ranks, resolve_worker_count(config.workers),
+                                 config.stack_bytes);
 }
 
-SuperstepEngine::~SuperstepEngine() {
-  Impl& impl = *impl_;
-  {
-    util::MutexLock lock(impl.mutex);
-    impl.shutdown = true;
-    impl.cv.notify_all();
-  }
-  for (auto& thread : impl.threads) thread.join();
-}
+SuperstepEngine::~SuperstepEngine() = default;
 
 std::size_t SuperstepEngine::ranks() const noexcept { return impl_->nranks; }
 
 std::size_t SuperstepEngine::workers() const noexcept {
-  return impl_->nworkers;
+  return impl_->pool.size();
 }
 
 void SuperstepEngine::run(const std::function<void(int)>& body) {
   Impl& impl = *impl_;
-  std::exception_ptr first_error;
-  std::size_t aborted_ranks = 0;
   {
     util::MutexLock lock(impl.mutex);
-    if (impl.mode != Impl::Mode::kIdle)
+    if (impl.active)
       throw std::logic_error("SuperstepEngine::run: engine already busy");
-    // Re-arm per-run state; slots and rank stacks persist across runs.
     impl.slots.resize(impl.nranks);
-    impl.rank_stacks.resize(impl.nranks);
     impl.runnable.clear();
     impl.aborting = false;
     impl.aborted_ranks = 0;
     impl.first_error = nullptr;
     for (std::size_t r = 0; r < impl.nranks; ++r) {
       Impl::RankSlot& slot = impl.slots[r];
-      if (!impl.rank_stacks[r])
-        impl.rank_stacks[r] = std::make_unique<char[]>(impl.stack_bytes);
       slot.token = CoopToken{this, static_cast<int>(r)};
       slot.state = Impl::State::kRunnable;
       slot.wake_pending = false;
@@ -292,25 +195,28 @@ void SuperstepEngine::run(const std::function<void(int)>& body) {
                 impl.first_error = std::current_exception();
             }
           },
-          impl.rank_stacks[r].get(), impl.stack_bytes);
+          impl.stack_bytes);
       impl.runnable.push_back(static_cast<int>(r));
     }
     impl.unfinished = impl.nranks;
+    impl.active = true;
     engine_metrics().runnable_ranks.record_max(
         static_cast<double>(impl.runnable.size()));
+  }
 
-    impl.ensure_threads_locked();
-    impl.mode = Impl::Mode::kFibers;
-    ++impl.epoch;
-    impl.remaining = impl.threads.size();
-    impl.cv.notify_all();
-    while (impl.remaining != 0) impl.done_cv.wait(impl.mutex);
-    impl.mode = Impl::Mode::kIdle;
+  // One index per participant; each drains until every rank finished.
+  impl.pool.parallel_for_index(impl.pool.size(),
+                               [&impl](std::size_t) { impl.drain_fibers(); });
 
+  std::exception_ptr first_error;
+  std::size_t aborted_ranks = 0;
+  {
+    util::MutexLock lock(impl.mutex);
+    impl.active = false;
     first_error = impl.first_error;
     aborted_ranks = impl.aborted_ranks;
-    // Destroy the fibers now (stacks stay pooled): the fiber entries
-    // capture `body`, which dies with this frame.
+    // Destroy the fibers now: their entries capture `body`, which dies
+    // with this frame.
     for (auto& slot : impl.slots) slot.fiber.reset();
   }
   if (first_error) std::rethrow_exception(first_error);
@@ -320,48 +226,6 @@ void SuperstepEngine::run(const std::function<void(int)>& body) {
         " of " + std::to_string(impl.nranks) +
         " ranks blocked with no runnable peer (unwound)");
   }
-}
-
-void SuperstepEngine::parallel_for(
-    std::size_t count, const std::function<void(std::size_t)>& fn) {
-  Impl& impl = *impl_;
-  if (count == 0) return;
-  if (impl.nworkers <= 1) {
-    // Inline: no wakeups, no cursor, exceptions propagate naturally.
-    for (std::size_t i = 0; i < count; ++i) fn(i);
-    return;
-  }
-  std::size_t chunk = 1;
-  std::exception_ptr first_error;
-  {
-    util::MutexLock lock(impl.mutex);
-    if (impl.mode != Impl::Mode::kIdle)
-      throw std::logic_error(
-          "SuperstepEngine::parallel_for: engine already busy");
-    // Split before fan-out: the chunk size depends only on the job shape,
-    // never on runtime timing, so the decomposition is reproducible.
-    chunk = std::max<std::size_t>(1, count / (impl.nworkers * 8));
-    impl.for_fn = &fn;
-    impl.for_count = count;
-    impl.for_chunk = chunk;
-    impl.for_cursor.store(0, std::memory_order_relaxed);
-    impl.first_error = nullptr;
-    impl.ensure_threads_locked();
-    impl.mode = Impl::Mode::kParallelFor;
-    ++impl.epoch;
-    impl.remaining = impl.threads.size();
-    impl.cv.notify_all();
-  }
-  // The caller participates instead of idling behind the pool.
-  impl.drain_parallel_for(fn, count, chunk);
-  {
-    util::MutexLock lock(impl.mutex);
-    while (impl.remaining != 0) impl.done_cv.wait(impl.mutex);
-    impl.mode = Impl::Mode::kIdle;
-    impl.for_fn = nullptr;
-    first_error = impl.first_error;
-  }
-  if (first_error) std::rethrow_exception(first_error);
 }
 
 void SuperstepEngine::suspend_current() {

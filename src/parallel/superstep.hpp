@@ -1,12 +1,10 @@
 // Bounded-thread superstep execution engine.
 //
-// Runs P logical ranks as cooperative fibers multiplexed onto W worker
-// threads (default: hardware_concurrency), so population scale is a
-// parameter instead of an OS-thread wall.  The pool is persistent: workers
-// are spawned on first use and parked between jobs, fiber stacks are
-// recycled run-to-run, and the same pool serves both fiber scheduling
-// (run) and fiberless sweeps (parallel_for) — an engine resident in a
-// server costs no thread spawn/join per epoch.  Blocking points in the
+// Runs P logical ranks as cooperative fibers multiplexed onto W workers
+// (default: hardware_concurrency), so population scale is a parameter
+// instead of an OS-thread wall.  The workers are a ThreadPool(W): W - 1
+// parked threads plus the thread that calls run(), which drains fibers
+// alongside them.  Blocking points in the
 // communication substrate (Mailbox::recv, CountingBarrier) suspend the
 // *fiber* through the coop hook (parallel/coop.hpp); barriers thereby
 // become superstep boundaries — between two barriers the engine simply
@@ -48,9 +46,8 @@ class SuperstepEngine final : public CoopScheduler {
   };
 
   SuperstepEngine(std::size_t ranks, Config config);
-  /// Parks, then joins, the persistent worker pool.  Workers only park
-  /// between jobs — run()/parallel_for() return with every worker back at
-  /// the idle wait — so by the time the destructor can legally run no
+  /// Joins the worker pool.  run() returns with every worker back at the
+  /// pool's idle wait, so by the time the destructor can legally run no
   /// thread holds the engine lock and no fiber stack is live; there is no
   /// shutdown lock ordering to get wrong (the engine lock itself is
   /// innermost by construction; see the Impl::mutex note in the .cpp).
@@ -60,27 +57,13 @@ class SuperstepEngine final : public CoopScheduler {
   SuperstepEngine& operator=(const SuperstepEngine&) = delete;
 
   /// Runs body(rank) for every rank in [0, ranks) to completion on the
-  /// worker pool.  Rethrows the first exception any body threw; throws
-  /// std::runtime_error when unfinished ranks deadlocked (after unwinding
-  /// them).  Reusable: the engine may be run any number of times — worker
-  /// threads are spawned once on first use and parked between jobs, and
-  /// each rank's fiber stack is allocated once and recycled across runs
-  /// (the epoch-pipeline contract, DESIGN.md §14).  Calls must not overlap
-  /// or nest; a body must not call run()/parallel_for() on its own engine.
+  /// workers, the caller among them.  Rethrows the first exception any
+  /// body threw; throws std::runtime_error when unfinished ranks
+  /// deadlocked (after unwinding them).  Reusable: each run allocates
+  /// fresh fibers.  Calls must not overlap, and a body must not call
+  /// run() on any engine — the caller resumes fibers itself, and fibers
+  /// do not nest.
   void run(const std::function<void(int)>& body);
-
-  /// Fiberless data-parallel sweep: runs fn(i) for every i in [0, count)
-  /// on the persistent pool, with the caller participating.  The index
-  /// space is split into contiguous chunks by a pure function of
-  /// (count, workers) *before* fan-out, so the work decomposition is
-  /// deterministic; fn must be safe to call concurrently for distinct i
-  /// and order-free (the probe-wave contract — each call's result must
-  /// not depend on its schedule).  With workers() <= 1 the sweep runs
-  /// inline on the caller with no wakeups.  Rethrows the first exception
-  /// any fn call threw, after the sweep drains.  Same no-overlap rule as
-  /// run().
-  void parallel_for(std::size_t count,
-                    const std::function<void(std::size_t)>& fn);
 
   [[nodiscard]] std::size_t ranks() const noexcept;
   [[nodiscard]] std::size_t workers() const noexcept;

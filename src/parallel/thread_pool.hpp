@@ -1,24 +1,24 @@
-// Fixed-size worker pool used by the precompute phase and the parallel MWU
-// drivers.
+// The one worker pool: precompute, the parallel MWU drivers, the Table
+// II-IV sweep, the campaign server's epoch and the superstep engine's
+// fiber drain all run on parallel::ThreadPool.
 //
 // Design notes (per the C++ Core Guidelines concurrency rules):
+//  - ThreadPool(n) means n participants: n - 1 threads parked between
+//    jobs plus the calling thread, which drains too.  n <= 1 spawns no
+//    thread and runs every job inline on the caller;
 //  - the pool owns its threads and joins them in the destructor (RAII);
-//  - tasks are type-erased through std::packaged_task so submit() returns a
-//    std::future and exceptions thrown inside a task propagate to the
-//    caller, never escaping into the worker loop;
-//  - parallel_for_index hands an index range out in small chunks claimed
-//    from a shared cursor, so a range whose cost is skewed (the Table II
-//    sweep's few large-k replications) still keeps every worker busy.
+//  - a job hands an index range out in small chunks claimed from a
+//    shared cursor, so a range whose cost is skewed (the Table II sweep's
+//    few large-k replications) still keeps every participant busy.
 //    Callers write per-index slots and fix any randomness before the
 //    fan-out (an index gets a split RNG stream, not a shared one), so
-//    which worker ran an index never shows in the results.
+//    which participant ran an index never shows in the results.
 #pragma once
 
-#include <chrono>
 #include <cstddef>
+#include <cstdint>
+#include <exception>
 #include <functional>
-#include <future>
-#include <queue>
 #include <thread>
 #include <vector>
 
@@ -27,75 +27,61 @@
 
 namespace mwr::parallel {
 
-/// A fixed pool of worker threads consuming a FIFO task queue.
+/// Resolves a worker-count knob: 0 means std::thread::hardware_concurrency
+/// (1 when the host cannot tell); any other value is returned unchanged.
+[[nodiscard]] std::size_t resolve_worker_count(std::size_t requested) noexcept;
+
+/// A fixed pool of `size()` participants running one index-range job at a
+/// time.
 class ThreadPool {
  public:
-  /// Spawns `num_threads` workers (minimum 1).
-  explicit ThreadPool(std::size_t num_threads);
+  /// `participants` counts the caller (minimum 1): spawns
+  /// participants - 1 threads.
+  explicit ThreadPool(std::size_t participants);
 
-  /// Drains outstanding tasks, then joins all workers.  Shutdown lock
-  /// ordering: takes mutex_ only to set the stop flag, releases it before
-  /// joining — so the caller must not hold mutex_ (MWR_EXCLUDES), and must
-  /// not be one of this pool's own workers (self-join; asserted at
-  /// runtime).  Nested parallel_for_index calls run inline on their worker
-  /// and therefore never own the destructor path.
+  /// Wakes and joins the parked threads.  Shutdown lock ordering: takes
+  /// mutex_ only to set the stop flag, releases it before joining — so the
+  /// caller must not hold mutex_ (MWR_EXCLUDES), and must not be one of
+  /// this pool's own threads (self-join; asserted at runtime).  Jobs never
+  /// outlive parallel_for_index, so no job is in flight here.
   ~ThreadPool() MWR_EXCLUDES(mutex_);
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  [[nodiscard]] std::size_t size() const noexcept { return workers_.size(); }
-
-  /// Enqueues a callable; the returned future carries its result or
-  /// exception.  Safe to call from any thread, including from inside tasks
-  /// (the pool never blocks enqueue on execution).
-  template <typename F>
-  auto submit(F&& fn) -> std::future<std::invoke_result_t<F>> {
-    using R = std::invoke_result_t<F>;
-    std::packaged_task<R()> task(std::forward<F>(fn));
-    std::future<R> result = task.get_future();
-    enqueue([t = std::make_shared<std::packaged_task<R()>>(std::move(task))] {
-      (*t)();
-    });
-    return result;
+  [[nodiscard]] std::size_t size() const noexcept {
+    return threads_.size() + 1;
   }
 
-  /// Runs fn(i) for every i in [0, count) and waits for completion.  Up to
-  /// `size()` tasks claim chunks of max(1, count / (tasks * 64)) indices
+  /// Runs fn(i) for every i in [0, count) and waits for completion.  Every
+  /// participant claims chunks of max(1, count / (size() * 64)) indices
   /// from a shared atomic cursor until the range is exhausted; the chunk
   /// depends only on (count, size()), never on timing.  fn must be safe to
-  /// invoke concurrently for distinct i.  A chunk stops at its first
-  /// throwing index; the other tasks drain the rest of the range, and once
-  /// every task has finished the first failure (in task order) is
-  /// rethrown.
+  /// invoke concurrently for distinct i.  A participant stops at its first
+  /// throwing index; the others drain the rest of the range, and once every
+  /// participant has left the job the first recorded failure is rethrown.
   ///
-  /// Re-entrant: when called from inside one of this pool's own tasks, the
-  /// range runs inline on the calling worker instead of being submitted.
-  /// Submitting would deadlock a saturated pool — every worker blocked in
-  /// f.get() on chunks queued behind the very tasks doing the blocking.
+  /// Re-entrant: a call from a thread that is already running one of this
+  /// pool's jobs — a parked thread or the caller while it drains — runs
+  /// the range inline on that thread.  A second outside caller waits for
+  /// the job in flight, then runs its own.
   void parallel_for_index(std::size_t count,
                           const std::function<void(std::size_t)>& fn)
       MWR_EXCLUDES(mutex_);
 
  private:
-  // Queue entries carry their enqueue time so the worker can attribute
-  // queue-wait latency to the observability layer on dequeue.
-  struct Task {
-    std::function<void()> fn;
-    std::chrono::steady_clock::time_point enqueued;
-  };
+  struct Job;
 
-  /// Pushes the type-erased task, records queue-depth telemetry, and
-  /// wakes one worker.  Throws std::runtime_error after stop.
-  void enqueue(std::function<void()> fn) MWR_EXCLUDES(mutex_);
+  void thread_loop() MWR_EXCLUDES(mutex_);
 
-  void worker_loop() MWR_EXCLUDES(mutex_);
-
-  std::vector<std::thread> workers_;
+  std::vector<std::thread> threads_;
   util::Mutex mutex_;
-  util::CondVar cv_;
-  std::queue<Task> queue_ MWR_GUARDED_BY(mutex_);
+  util::CondVar cv_;  // parked threads, finished jobs, waiting callers.
   bool stopping_ MWR_GUARDED_BY(mutex_) = false;
+  Job* job_ MWR_GUARDED_BY(mutex_) = nullptr;        // the job in flight.
+  std::uint64_t epoch_ MWR_GUARDED_BY(mutex_) = 0;   // bumps per job.
+  std::size_t remaining_ MWR_GUARDED_BY(mutex_) = 0; // threads still in job.
+  std::exception_ptr first_error_ MWR_GUARDED_BY(mutex_);
 };
 
 }  // namespace mwr::parallel

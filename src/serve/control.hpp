@@ -62,8 +62,8 @@ struct CampaignPlan {
 
 /// Maps a submission onto (scenario spec, campaign config).  Forces
 /// pool.threads = 1 and repair.eval_threads = 1: a served campaign is one
-/// fiber among thousands, so intra-campaign thread fan-out would
-/// oversubscribe the engine's workers.  Throws std::invalid_argument for
+/// epoch task among thousands, so intra-campaign thread fan-out would
+/// oversubscribe the server's pool.  Throws std::invalid_argument for
 /// an unknown scenario name, an unknown MWU kind, or degenerate repair
 /// knobs (zero bugs/arms/max_count/agents/max_iterations, tests > 64) —
 /// everything a later phase would throw on must be rejected at SUBMIT so

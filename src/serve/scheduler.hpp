@@ -4,7 +4,7 @@
 // tenant's precompute unit costs thousands of suite runs while another's
 // online cycle costs eight — and campaign lengths span two orders of
 // magnitude.  A naive run-to-completion or FIFO policy lets one huge
-// campaign monopolize the engine while small ones starve.
+// campaign monopolize the epoch while small ones starve.
 //
 // DeficitScheduler applies the classic DRR discipline at unit (not
 // byte) granularity.  Every scheduling epoch, each resident campaign's
@@ -64,7 +64,7 @@ class DeficitScheduler {
 
   /// Debits `used` units from `id`'s deficit after its grant ran.
   /// Consuming more than the granted budget throws std::logic_error
-  /// (the engine-side contract is budget-bounded stepping).
+  /// (the epoch-side contract is budget-bounded stepping).
   void settle(std::uint64_t id, std::size_t used);
 
   /// Current deficit for a campaign (0 for unknown ids) — test hook.

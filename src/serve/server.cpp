@@ -8,16 +8,25 @@
 #include "apr/outcome_json.hpp"
 #include "obs/registry.hpp"
 #include "obs/serialization.hpp"
-#include "parallel/superstep.hpp"
 #include "serve/checkpoint.hpp"
 #include "serve/checkpoint_writer.hpp"
 #include "util/timer.hpp"
 
 namespace mwr::serve {
 
+namespace {
+// The epoch pool's participants (ServerConfig::workers).  At W >= 2 the
+// control loop drains alongside W parked threads.
+std::size_t epoch_participants(std::size_t workers) {
+  const std::size_t resolved = parallel::resolve_worker_count(workers);
+  return resolved <= 1 ? 1 : resolved + 1;
+}
+}  // namespace
+
 CampaignServer::CampaignServer(ServerConfig config)
     : config_(std::move(config)),
-      scheduler_(config_.quantum) {
+      scheduler_(config_.quantum),
+      pool_(epoch_participants(config_.workers)) {
   auto& metrics = obs::MetricsRegistry::global();
   submitted_ = &metrics.counter("serve.submitted");
   rejected_ = &metrics.counter("serve.admission_rejects");
@@ -31,17 +40,6 @@ CampaignServer::CampaignServer(ServerConfig config)
 }
 
 CampaignServer::~CampaignServer() = default;
-
-parallel::SuperstepEngine& CampaignServer::engine() {
-  if (!engine_) {
-    // One rank is a placeholder — epochs drive the engine exclusively
-    // through parallel_for, one index per granted campaign.  The worker
-    // pool persists for the server's lifetime: no per-epoch spawn/join.
-    engine_ = std::make_unique<parallel::SuperstepEngine>(
-        1, parallel::SuperstepEngine::Config{config_.workers});
-  }
-  return *engine_;
-}
 
 CheckpointWriter& CampaignServer::writer() {
   if (!writer_) {
@@ -110,7 +108,7 @@ bool CampaignServer::run_epoch() {
   std::vector<Slot> slots(n);
   for (std::size_t i = 0; i < n; ++i)
     slots[i].session = running_.at(grants[i].id).session.get();
-  engine().parallel_for(n, [&](std::size_t i) {
+  pool_.parallel_for_index(n, [&](std::size_t i) {
     Slot& slot = slots[i];
     const util::WallTimer timer;
     try {

@@ -1,5 +1,5 @@
 // CampaignServer: multiplexes many concurrent repair campaigns over one
-// persistent bounded worker pool.
+// persistent parallel::ThreadPool.
 //
 // Execution model — one task per campaign (DESIGN.md §14):
 //
@@ -7,9 +7,10 @@
 //                resident count is below the configured cap, planned via
 //                plan_campaign(), given "campaign/<id>/" scoped metrics,
 //                and registered with the deficit-round-robin scheduler.
-//   run_epoch()  one scheduling epoch: a parallel_for over the granted
-//                campaigns on the resident SuperstepEngine (persistent
-//                workers; no per-epoch thread spawn/join).  Task i calls
+//   run_epoch()  one scheduling epoch: a parallel_for_index over the
+//                granted campaigns on the server's pool (threads parked
+//                between epochs; no per-epoch spawn/join; the control
+//                loop drains alongside them).  Task i calls
 //                step(budget) on campaign i's session and records the
 //                units used, the probes issued, its wall time and any
 //                exception in its own slot.  Then, serially and in
@@ -54,6 +55,7 @@
 #include <vector>
 
 #include "apr/campaign_session.hpp"
+#include "parallel/thread_pool.hpp"
 #include "serve/control.hpp"
 #include "serve/oracle_hub.hpp"
 #include "serve/scheduler.hpp"
@@ -64,10 +66,6 @@ class Gauge;
 class Histogram;
 }  // namespace mwr::obs
 
-namespace mwr::parallel {
-class SuperstepEngine;
-}  // namespace mwr::parallel
-
 namespace mwr::serve {
 
 class CheckpointWriter;
@@ -75,7 +73,10 @@ class CheckpointWriter;
 struct ServerConfig {
   std::size_t max_resident = 256;   ///< admission-control cap.
   std::size_t quantum = 8;          ///< DRR work units per campaign-epoch.
-  std::size_t workers = 0;          ///< engine workers; 0 = hardware.
+  /// Epoch workers; 0 = hardware_concurrency.  The epoch runs on one
+  /// thread at workers <= 1 and on workers + 1 threads at 2 or more: W
+  /// parked pool threads plus the control loop, which drains too.
+  std::size_t workers = 0;
   std::string checkpoint_dir;       ///< empty = durability disabled.
   std::size_t checkpoint_every = 0; ///< epochs between auto-checkpoints;
                                     ///< 0 = only explicit checkpoint_all().
@@ -204,8 +205,6 @@ class CampaignServer {
   void fail_campaign(Campaign&& campaign);
   void fill_status(const Campaign& campaign, StatusReply& reply) const;
   [[nodiscard]] std::string checkpoint_path(std::uint64_t campaign_id) const;
-  /// The resident engine (created on first use; persistent worker pool).
-  parallel::SuperstepEngine& engine();
   /// The async writer (created on first use; also makes checkpoint_dir).
   CheckpointWriter& writer();
   /// Serializes dirty campaigns and queues their writes (no flush).
@@ -222,7 +221,7 @@ class CampaignServer {
   std::uint64_t epochs_run_ = 0;
   std::uint64_t starved_epochs_count_ = 0;
   std::uint64_t failed_count_ = 0;
-  std::unique_ptr<parallel::SuperstepEngine> engine_;
+  parallel::ThreadPool pool_;  // the epoch's participants.
   std::unique_ptr<CheckpointWriter> writer_;
   double checkpoint_critical_seconds_ = 0.0;
   // Rolling latency window (ring buffer; latency_next_ wraps).

@@ -31,6 +31,9 @@ BAD_CASES = {
     # else in src/serve must still fail.
     "raw-ipc-serve": ("raw-ipc", 6),
     "raw-simd": ("raw-simd", 5),
+    # Outside the pool, CommWorld and the checkpoint writer, every way of
+    # starting a thread or an async task fails — in src/serve too.
+    "worker-threads": ("worker-threads", 5),
     "bad-suppression": ("bad-suppression", 2),
 }
 

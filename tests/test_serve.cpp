@@ -16,6 +16,7 @@
 #include <set>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <unistd.h>
@@ -890,6 +891,35 @@ TEST(CampaignServer, CampaignStepWindowStaysBounded) {
   const std::vector<double> window = server.campaign_step_seconds();
   EXPECT_EQ(window.size(), CampaignServer::kLatencyWindowCapacity);
   for (const double seconds : window) EXPECT_GE(seconds, 0.0);
+}
+
+TEST(CampaignServer, EpochRunsOnOneThreadAtOneWorkerAndThreeAtTwo) {
+  // workers 1 keeps the epoch on the control loop; at 2 or more the
+  // control loop drains alongside `workers` parked pool threads.  Every
+  // participant of a job counts once in thread_pool.tasks_executed, so an
+  // epoch whose sessions all run an online cycle (no inner pool job: the
+  // server steps sessions without a pool) adds exactly the epoch's
+  // thread count.
+  obs::Counter& joined =
+      obs::MetricsRegistry::global().counter("thread_pool.tasks_executed");
+  for (const auto& [workers, threads] :
+       {std::pair<std::size_t, std::size_t>{1, 1}, {2, 3}}) {
+    SCOPED_TRACE("workers " + std::to_string(workers));
+    ServerConfig config;
+    config.workers = workers;
+    config.quantum = 1;  // unit 1 precompute, unit 2 bug start, 3 online.
+    CampaignServer server(config);
+    for (std::uint64_t seed = 0; seed < 4; ++seed)
+      ASSERT_TRUE(server.submit(small_request("Math80", seed)).has_value());
+    ASSERT_TRUE(server.run_epoch());
+    ASSERT_TRUE(server.run_epoch());
+    const std::uint64_t before = joined.value();
+    ASSERT_TRUE(server.run_epoch());
+    EXPECT_EQ(joined.value() - before, threads);
+    server.drain();
+    EXPECT_EQ(server.completed(), 4u);
+    EXPECT_EQ(server.failed_campaigns(), 0u);
+  }
 }
 
 TEST(CheckpointWriter, LatestWinsCoalescingAndRemoveOrdering) {

@@ -156,9 +156,8 @@ TEST(SuperstepEngine, DeadlockIsDetectedAndUnwound) {
 }
 
 TEST(SuperstepEngine, IsReusableAcrossRuns) {
-  // The persistent-engine contract (DESIGN.md §14): one engine serves
-  // many runs — worker threads and fiber stacks are recycled, and a run
-  // that throws leaves the engine ready for the next.
+  // One engine serves many runs — its pool threads park between runs,
+  // and a run that throws leaves the engine ready for the next.
   constexpr std::size_t kRanks = 24;
   constexpr int kRuns = 6;
   SuperstepEngine::Config config;
@@ -184,60 +183,6 @@ TEST(SuperstepEngine, IsReusableAcrossRuns) {
   std::vector<int> after(kRanks, 0);
   engine.run([&](int rank) { ++after[static_cast<std::size_t>(rank)]; });
   for (const int v : after) EXPECT_EQ(v, 1);
-}
-
-TEST(SuperstepEngine, ParallelForCoversEveryIndexOnce) {
-  for (const std::size_t workers : {1u, 2u, 4u}) {
-    SuperstepEngine::Config config;
-    config.workers = workers;
-    SuperstepEngine engine(1, config);
-    constexpr std::size_t kCount = 1000;
-    std::vector<std::atomic<int>> hits(kCount);
-    for (auto& h : hits) h.store(0, std::memory_order_relaxed);
-    // Repeated sweeps on one engine: the fiberless path must also be
-    // reusable, including interleaved with fiber runs.
-    for (int sweep = 0; sweep < 3; ++sweep) {
-      engine.parallel_for(kCount, [&](std::size_t i) {
-        hits[i].fetch_add(1, std::memory_order_relaxed);
-      });
-    }
-    for (std::size_t i = 0; i < kCount; ++i) {
-      EXPECT_EQ(hits[i].load(std::memory_order_relaxed), 3)
-          << "workers=" << workers << " i=" << i;
-    }
-    engine.parallel_for(0, [&](std::size_t) { FAIL() << "count == 0 ran"; });
-  }
-}
-
-TEST(SuperstepEngine, ParallelForInterleavesWithFiberRuns) {
-  SuperstepEngine::Config config;
-  config.workers = 2;
-  SuperstepEngine engine(4, config);
-  std::atomic<int> total{0};
-  engine.run([&](int) { total.fetch_add(1, std::memory_order_relaxed); });
-  engine.parallel_for(
-      64, [&](std::size_t) { total.fetch_add(1, std::memory_order_relaxed); });
-  engine.run([&](int) { total.fetch_add(1, std::memory_order_relaxed); });
-  EXPECT_EQ(total.load(std::memory_order_relaxed), 4 + 64 + 4);
-}
-
-TEST(SuperstepEngine, ParallelForRethrowsFirstBodyError) {
-  for (const std::size_t workers : {1u, 3u}) {
-    SuperstepEngine::Config config;
-    config.workers = workers;
-    SuperstepEngine engine(1, config);
-    EXPECT_THROW(engine.parallel_for(256,
-                                     [&](std::size_t i) {
-                                       if (i == 7)
-                                         throw std::logic_error("bad index");
-                                     }),
-                 std::logic_error);
-    // The engine stays usable after the failed sweep.
-    std::atomic<int> ran{0};
-    engine.parallel_for(
-        16, [&](std::size_t) { ran.fetch_add(1, std::memory_order_relaxed); });
-    EXPECT_EQ(ran.load(std::memory_order_relaxed), 16);
-  }
 }
 
 TEST(SuperstepEngine, CountsSuperstepsAndRunnableRanks) {

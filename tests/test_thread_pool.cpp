@@ -1,10 +1,12 @@
-// Unit tests for parallel/thread_pool: futures, exception propagation,
-// parallel_for coverage, and lifecycle.
+// Unit tests for parallel/thread_pool: participant count, inline and
+// nested runs, exception propagation, parallel_for coverage, and
+// lifecycle.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
-#include <numeric>
+#include <mutex>
+#include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -24,55 +26,76 @@ TEST(ThreadPool, ZeroThreadsClampsToOne) {
   EXPECT_EQ(pool.size(), 1u);
 }
 
-TEST(ThreadPool, SubmitReturnsResult) {
-  ThreadPool pool(2);
-  auto future = pool.submit([] { return 6 * 7; });
-  EXPECT_EQ(future.get(), 42);
+TEST(ThreadPool, RunsOnExactlySizeParticipants) {
+  // Every item waits (bounded) until size() distinct threads have entered
+  // the job, so the job completes promptly only if that many participants
+  // run it at once — the caller among them — and no more ever join.
+  ThreadPool pool(3);
+  std::mutex mutex;
+  std::set<std::thread::id> entered;
+  pool.parallel_for_index(pool.size(), [&](std::size_t) {
+    {
+      const std::lock_guard<std::mutex> lock(mutex);
+      entered.insert(std::this_thread::get_id());
+    }
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    for (;;) {
+      {
+        const std::lock_guard<std::mutex> lock(mutex);
+        if (entered.size() >= pool.size()) return;
+      }
+      if (std::chrono::steady_clock::now() >= deadline) return;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  EXPECT_EQ(entered.size(), pool.size());
+  EXPECT_EQ(entered.count(std::this_thread::get_id()), 1u);
 }
 
-TEST(ThreadPool, SubmitVoidTask) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  auto future = pool.submit([&] { counter.fetch_add(1); });
-  future.get();
-  EXPECT_EQ(counter.load(), 1);
-}
-
-TEST(ThreadPool, ManyTasksAllComplete) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  std::vector<std::future<void>> futures;
-  for (int i = 0; i < 500; ++i) {
-    futures.push_back(pool.submit([&] { counter.fetch_add(1); }));
-  }
-  for (auto& f : futures) f.get();
-  EXPECT_EQ(counter.load(), 500);
-}
-
-TEST(ThreadPool, ExceptionPropagatesThroughFuture) {
-  ThreadPool pool(2);
-  auto future = pool.submit(
-      []() -> int { throw std::runtime_error("task failed"); });
-  EXPECT_THROW(future.get(), std::runtime_error);
+TEST(ThreadPool, SizeOneRunsInlineOnTheCaller) {
+  ThreadPool pool(1);
+  std::vector<std::size_t> order;
+  std::set<std::thread::id> threads;
+  pool.parallel_for_index(100, [&](std::size_t i) {
+    order.push_back(i);
+    threads.insert(std::this_thread::get_id());
+  });
+  ASSERT_EQ(order.size(), 100u);
+  for (std::size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
+  EXPECT_EQ(threads, std::set<std::thread::id>{std::this_thread::get_id()});
 }
 
 TEST(ThreadPool, WorkersSurviveAFailedTask) {
-  ThreadPool pool(1);
-  auto bad = pool.submit([]() -> int { throw std::runtime_error("boom"); });
-  EXPECT_THROW(bad.get(), std::runtime_error);
-  auto good = pool.submit([] { return 1; });
-  EXPECT_EQ(good.get(), 1);
+  ThreadPool pool(2);
+  EXPECT_THROW(pool.parallel_for_index(8,
+                                       [](std::size_t) {
+                                         throw std::runtime_error("boom");
+                                       }),
+               std::runtime_error);
+  std::atomic<int> counter{0};
+  pool.parallel_for_index(100, [&](std::size_t) { counter.fetch_add(1); });
+  EXPECT_EQ(counter.load(), 100);
 }
 
-TEST(ThreadPool, DestructorDrainsQueue) {
-  std::atomic<int> counter{0};
-  {
-    ThreadPool pool(2);
-    for (int i = 0; i < 100; ++i) {
-      (void)pool.submit([&] { counter.fetch_add(1); });
-    }
-  }  // destructor joins after draining
-  EXPECT_EQ(counter.load(), 100);
+TEST(ThreadPool, ConcurrentOutsideCallersTakeTurns) {
+  // A second outside caller waits for the job in flight, then runs its
+  // own; neither loses an index.
+  ThreadPool pool(2);
+  std::vector<std::atomic<int>> hits(2 * 500);
+  std::vector<std::thread> callers;
+  callers.reserve(2);
+  for (std::size_t c = 0; c < 2; ++c) {
+    callers.emplace_back([&, c] {
+      for (int round = 0; round < 20; ++round) {
+        pool.parallel_for_index(500, [&](std::size_t i) {
+          hits[c * 500 + i].fetch_add(1);
+        });
+      }
+    });
+  }
+  for (auto& caller : callers) caller.join();
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 20);
 }
 
 TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce) {
@@ -147,19 +170,22 @@ TEST(ThreadPool, ParallelForBalancesASkewedRange) {
 }
 
 TEST(ThreadPool, NestedParallelForRunsInlineWithoutDeadlock) {
-  // Regression: parallel_for_index called from inside one of the pool's own
-  // tasks used to submit chunks back into the pool and block on their
-  // futures — with every worker inside such a call, the chunks sat queued
-  // behind the waiting tasks forever.  A pool of size 1 makes the hang
-  // deterministic; the fix runs the nested range inline.
-  ThreadPool pool(1);
-  std::vector<std::atomic<int>> hits(64);
-  auto outer = pool.submit([&] {
-    pool.parallel_for_index(hits.size(),
-                            [&](std::size_t i) { hits[i].fetch_add(1); });
+  // A participant that fans out again on its own pool would wait for the
+  // job in flight — the one it is part of.  The nested range runs inline
+  // instead, on the thread that called it: a parked thread or the caller
+  // while it drains.
+  ThreadPool pool(2);
+  std::vector<std::atomic<int>> hits(2 * 64);
+  std::atomic<int> foreign{0};
+  pool.parallel_for_index(2, [&](std::size_t outer) {
+    const std::thread::id self = std::this_thread::get_id();
+    pool.parallel_for_index(64, [&](std::size_t i) {
+      if (std::this_thread::get_id() != self) foreign.fetch_add(1);
+      hits[outer * 64 + i].fetch_add(1);
+    });
   });
-  outer.get();
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  EXPECT_EQ(foreign.load(), 0);
 }
 
 TEST(ThreadPool, NestedParallelForInsideParallelFor) {
@@ -174,22 +200,17 @@ TEST(ThreadPool, NestedParallelForInsideParallelFor) {
 }
 
 TEST(ThreadPool, NestedParallelForStillPropagatesExceptions) {
-  ThreadPool pool(1);
-  auto outer = pool.submit([&] {
-    pool.parallel_for_index(4, [](std::size_t i) {
-      if (i == 2) throw std::runtime_error("nested failure");
-    });
-  });
-  EXPECT_THROW(outer.get(), std::runtime_error);
-}
-
-TEST(ThreadPool, SubmitFromInsideATask) {
   ThreadPool pool(2);
-  auto outer = pool.submit([&] {
-    auto inner = pool.submit([] { return 5; });
-    return inner.get() + 1;
-  });
-  EXPECT_EQ(outer.get(), 6);
+  EXPECT_THROW(pool.parallel_for_index(2,
+                                       [&](std::size_t) {
+                                         pool.parallel_for_index(
+                                             4, [](std::size_t i) {
+                                               if (i == 2)
+                                                 throw std::runtime_error(
+                                                     "nested failure");
+                                             });
+                                       }),
+               std::runtime_error);
 }
 
 class ParallelForSweep : public ::testing::TestWithParam<std::size_t> {};

@@ -41,6 +41,15 @@ Everywhere under src/ (minus each rule's own whitelist):
                           vector loop must live behind the weight-kernel
                           dispatch seam so the scalar/AVX2 bit-identity
                           contract stays auditable in one place
+  worker-threads          std::thread / std::jthread / std::async /
+                          std::packaged_task outside the pool and the
+                          audited thread seams (CommWorld's drain threads
+                          and thread-per-rank substrate, the checkpoint
+                          writer) — parallel work runs on
+                          parallel::ThreadPool, so a second worker pool
+                          cannot come back quietly.  std::thread::
+                          hardware_concurrency and std::thread::id are
+                          queries, not threads, and stay allowed
 
 Whitelist entries ending in "/" exempt a whole directory subtree; other
 entries exempt exactly one file.
@@ -215,6 +224,30 @@ RULES = [
         # The dispatch seam itself: the one directory allowed to spell
         # intrinsics.
         whitelist=("src/util/simd/",),
+    ),
+    Rule(
+        "worker-threads",
+        "raw thread or async task outside the worker pool; run parallel "
+        "work on parallel::ThreadPool (src/parallel/thread_pool.hpp) so "
+        "the process keeps one worker pool",
+        [
+            r"std\s*::\s*thread\b(?!\s*::\s*(?:hardware_concurrency|id)\b)",
+            r"std\s*::\s*jthread\b",
+            r"std\s*::\s*async\b",
+            r"std\s*::\s*packaged_task\b",
+        ],
+        bit_identity_only=False,
+        # The pool itself, CommWorld (transport drain threads and the
+        # thread-per-rank reference substrate), and the checkpoint
+        # writer's single I/O thread.
+        whitelist=(
+            "src/parallel/thread_pool.hpp",
+            "src/parallel/thread_pool.cpp",
+            "src/parallel/comm.hpp",
+            "src/parallel/comm.cpp",
+            "src/serve/checkpoint_writer.hpp",
+            "src/serve/checkpoint_writer.cpp",
+        ),
     ),
 ]
 RULE_NAMES = {rule.name for rule in RULES} | {"unordered-iteration"}

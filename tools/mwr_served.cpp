@@ -97,7 +97,9 @@ int run(int argc, char** argv) {
   cli.add_string("socket", "", "control socket path (required)");
   cli.add_int("max-campaigns", 256, "admission cap on resident campaigns");
   cli.add_int("quantum", 8, "DRR work units per campaign per epoch");
-  cli.add_int("workers", 0, "engine worker threads (0 = hardware)");
+  cli.add_int("workers", 0,
+              "epoch worker threads (0 = hardware); at 2 or more the "
+              "control loop drains too, so an epoch runs on workers + 1");
   cli.add_string("checkpoint-dir", "", "campaign checkpoint directory");
   cli.add_int("checkpoint-every", 0,
               "auto-checkpoint period in epochs (0 = only on request)");
