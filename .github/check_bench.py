@@ -338,7 +338,7 @@ def check_serve(current, baseline):
     if current["fairness"]["starved_epochs"] != 0:
         fail(
             f"{current['fairness']['starved_epochs']} starved campaign-epochs "
-            f"(DRR must starve no one)"
+            f"(every epoch must advance every resident campaign)"
         )
     if not current["checkpoint"]["resume_ok"]:
         fail("checkpoint/kill/restore cycle did not reproduce the trajectories")

@@ -2,7 +2,7 @@
 // server with a mixed-family fleet of concurrent campaigns and measures
 // the serving metrics the paper's deployment story rests on:
 //
-//   load       — campaigns/sec through submit -> DRR epochs -> retire,
+//   load       — campaigns/sec through submit -> epochs -> retire,
 //                plus admission-control rejects from a deliberate
 //                overflow beyond the resident cap;
 //   campaign_steps
@@ -15,7 +15,8 @@
 //                uninterrupted trajectory hash and outcome JSON for
 //                every campaign (the bit-identity pin);
 //   fairness   — epochs run, p50/p99 wall time per epoch, and starved
-//                campaign-epochs (must be 0 under deficit round robin).
+//                campaign-epochs (must be 0: every epoch advances every
+//                resident campaign).
 //
 // Two modes:
 //   default    — self-hosted: an in-process CampaignServer, so every
@@ -311,12 +312,14 @@ int main(int argc, char** argv) {
 int run(int argc, char** argv) {
   util::Cli cli(
       "bench_serve — mixed-family campaign fleet through the campaign "
-      "server: throughput, step latency, checkpoint durability, DRR "
+      "server: throughput, step latency, checkpoint durability, "
       "fairness");
   cli.add_int("campaigns", 96, "fleet size (cycled across 6 families)");
   cli.add_int("bugs", 2, "bugs per campaign (CI durability uses more)");
   cli.add_int("iterations", 60, "online iteration cap per bug");
-  cli.add_int("quantum", 8, "DRR work units per campaign-epoch");
+  cli.add_int("quantum", 8,
+              "work units every resident campaign runs per epoch (0 runs "
+              "as 1)");
   cli.add_int("workers", 0, "engine worker threads (0 = hardware)");
   cli.add_flag("full", "paper-scale fleet (1000 campaigns)");
   cli.add_string("connect", "",

@@ -1,61 +1,22 @@
 #include "apr/campaign_session.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <stdexcept>
 #include <utility>
 
+#include "apr/program.hpp"
 #include "obs/registry.hpp"
-#include "parallel/thread_pool.hpp"
 
 namespace mwr::apr {
 
 namespace {
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-std::uint64_t fnv_fold(std::uint64_t h, std::uint64_t v) noexcept {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xff;
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
-std::uint64_t fnv_fold(std::uint64_t h, double v) noexcept {
-  return fnv_fold(h, std::bit_cast<std::uint64_t>(v));
-}
-
-std::uint64_t fnv_fold(std::uint64_t h, const std::string& s) noexcept {
-  h = fnv_fold(h, static_cast<std::uint64_t>(s.size()));
-  for (const char c : s) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
 /// Identity of the campaign definition: every field of the base spec and
 /// of the configuration that influences the trajectory.  A checkpoint
 /// resumed against a different definition would silently diverge; the
 /// fingerprint turns that into a loud error.
 std::uint64_t campaign_fingerprint(const datasets::ScenarioSpec& spec,
                                    const CampaignConfig& config) {
-  std::uint64_t h = kFnvOffset;
-  h = fnv_fold(h, spec.name);
-  h = fnv_fold(h, spec.language);
-  h = fnv_fold(h, static_cast<std::uint64_t>(spec.options));
-  h = fnv_fold(h, static_cast<std::uint64_t>(spec.statements));
-  h = fnv_fold(h, static_cast<std::uint64_t>(spec.tests));
-  h = fnv_fold(h, spec.coverage);
-  h = fnv_fold(h, spec.safe_rate);
-  h = fnv_fold(h, spec.repair_rate);
-  h = fnv_fold(h, static_cast<std::uint64_t>(spec.optimum));
-  h = fnv_fold(h, static_cast<std::uint64_t>(spec.min_repair_edits));
-  h = fnv_fold(h, spec.value_noise);
-  h = fnv_fold(h, spec.seed);
-  h = fnv_fold(h, static_cast<std::uint64_t>(spec.bug_id));
-  h = fnv_fold(h, static_cast<std::uint64_t>(spec.relevance_localized));
+  std::uint64_t h = spec_fingerprint(spec);
   h = fnv_fold(h, static_cast<std::uint64_t>(config.bugs));
   h = fnv_fold(h, static_cast<std::uint64_t>(config.grow_suite));
   h = fnv_fold(h, static_cast<std::uint64_t>(config.pool.target_size));
@@ -151,7 +112,7 @@ void CampaignSession::do_precompute() {
   outcome_.initial_pool_size = working_pool_.size();
 }
 
-void CampaignSession::start_bug(parallel::ThreadPool* /*workers*/) {
+void CampaignSession::start_bug() {
   bugs_attempted_->add(1);
   if (scope_) scope_->counter("bugs_attempted").add(1);
   current_bug_ = BugOutcome{};
@@ -261,7 +222,7 @@ std::size_t CampaignSession::step(std::size_t budget,
           ++used;
           break;
         }
-        start_bug(workers);
+        start_bug();
         bug_seconds_ += unit_timer.elapsed_seconds();
         ++used;
         break;

@@ -110,9 +110,9 @@ class CampaignSession {
   CampaignSession& operator=(const CampaignSession&) = delete;
 
   /// Advances the campaign by at most `budget` units of work and returns
-  /// the units consumed (>= 1 while not done; 0 once done).  One unit is
-  /// one online MWU update cycle or one setup phase (precompute / bug
-  /// start); the return value is the deficit-round-robin charge.
+  /// the units consumed: exactly `budget` unless the campaign finishes
+  /// within the call (0 once done).  One unit is one online MWU update
+  /// cycle or one setup phase (precompute / bug start).
   /// `workers` optionally fans out suite runs inside a unit.  Distinct
   /// sessions may step concurrently: a session shares only its
   /// ScenarioServices and the metrics registry, both thread-safe.
@@ -171,7 +171,7 @@ class CampaignSession {
   };
 
   void do_precompute();
-  void start_bug(parallel::ThreadPool* workers);
+  void start_bug();
   void finish_bug();
   void finalize();
   void open_bug_oracle();  // (re)acquire program/oracle for bug_index_.

@@ -4,6 +4,25 @@
 
 namespace mwr::apr {
 
+std::uint64_t spec_fingerprint(const datasets::ScenarioSpec& spec) {
+  std::uint64_t h = kFnvOffset;
+  h = fnv_fold(h, spec.name);
+  h = fnv_fold(h, spec.language);
+  h = fnv_fold(h, static_cast<std::uint64_t>(spec.options));
+  h = fnv_fold(h, static_cast<std::uint64_t>(spec.statements));
+  h = fnv_fold(h, static_cast<std::uint64_t>(spec.tests));
+  h = fnv_fold(h, spec.coverage);
+  h = fnv_fold(h, spec.safe_rate);
+  h = fnv_fold(h, spec.repair_rate);
+  h = fnv_fold(h, static_cast<std::uint64_t>(spec.optimum));
+  h = fnv_fold(h, static_cast<std::uint64_t>(spec.min_repair_edits));
+  h = fnv_fold(h, spec.value_noise);
+  h = fnv_fold(h, spec.seed);
+  h = fnv_fold(h, static_cast<std::uint64_t>(spec.bug_id));
+  h = fnv_fold(h, static_cast<std::uint64_t>(spec.relevance_localized));
+  return h;
+}
+
 ProgramModel::ProgramModel(datasets::ScenarioSpec spec)
     : spec_(std::move(spec)) {
   if (spec_.statements == 0)

@@ -10,7 +10,9 @@
 // provides (b).
 #pragma once
 
+#include <bit>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "datasets/scenario.hpp"
@@ -37,6 +39,46 @@ namespace mwr::apr {
 [[nodiscard]] inline double hash_to_unit(std::uint64_t h) noexcept {
   return static_cast<double>(h >> 11) * 0x1.0p-53;
 }
+
+/// FNV-1a offset basis and prime (64-bit).
+inline constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
+inline constexpr std::uint64_t kFnvPrime = 1099511628211ull;
+
+/// FNV-1a fold of a 64-bit value, one byte at a time (low byte first).
+/// The fold behind every trajectory hash and definition fingerprint, so
+/// its output is part of the checkpoint format: never change it.
+[[nodiscard]] inline std::uint64_t fnv_fold(std::uint64_t h,
+                                            std::uint64_t v) noexcept {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xff;
+    h *= kFnvPrime;
+  }
+  return h;
+}
+
+/// Folds a double's exact bit pattern.
+[[nodiscard]] inline std::uint64_t fnv_fold(std::uint64_t h,
+                                            double v) noexcept {
+  return fnv_fold(h, std::bit_cast<std::uint64_t>(v));
+}
+
+/// Folds a string's length, then its bytes.
+[[nodiscard]] inline std::uint64_t fnv_fold(std::uint64_t h,
+                                            const std::string& s) noexcept {
+  h = fnv_fold(h, static_cast<std::uint64_t>(s.size()));
+  for (const char c : s) {
+    h ^= static_cast<std::uint8_t>(c);
+    h *= kFnvPrime;
+  }
+  return h;
+}
+
+/// Identity of one scenario: every ScenarioSpec field, the bug targeted
+/// and the suite size included.  Campaign checkpoints fold it into their
+/// definition fingerprint; the serve layer's OracleHub keys shared
+/// oracles and pools by it.
+[[nodiscard]] std::uint64_t spec_fingerprint(
+    const datasets::ScenarioSpec& spec);
 
 /// The mutable program under repair.
 class ProgramModel {

@@ -5,24 +5,12 @@
 #include <span>
 #include <stdexcept>
 
+#include "apr/program.hpp"
 #include "core/serialization.hpp"
 #include "obs/registry.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace mwr::apr {
-
-namespace {
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-std::uint64_t fnv_fold(std::uint64_t h, std::uint64_t v) noexcept {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xff;
-    h *= kFnvPrime;
-  }
-  return h;
-}
-}  // namespace
 
 RepairSession::RepairSession(const MwRepairConfig& config,
                              const TestOracle& oracle,
@@ -137,7 +125,8 @@ bool RepairSession::finish_cycle(double elapsed_seconds) {
       outcome_.preferred_count = patch_size;
       outcome_.arm_probabilities = strategy_->probabilities();
       cycle_counter_->add(1);
-      trajectory_hash_ = fnv_fold(trajectory_hash_, 0x5245504152ull);  // tag
+      trajectory_hash_ =
+          fnv_fold(trajectory_hash_, std::uint64_t{0x5245504152});  // tag
       trajectory_hash_ = fnv_fold(trajectory_hash_, j);
       finish(true);
       return true;

@@ -3,8 +3,8 @@
 //
 // MwRepair::run() is the right shape for a batch CLI but the wrong shape
 // for a server: a daemon multiplexing thousands of campaigns needs to
-// advance each search a few cycles at a time (deficit-round-robin
-// scheduling), checkpoint a search between cycles, and resume it after a
+// advance each search a few cycles at a time (a quantum per epoch),
+// checkpoint a search between cycles, and resume it after a
 // restart without replaying paid-for probes.  RepairSession is the same
 // algorithm unrolled into a resumable object: construct, call step()
 // until it returns true, read outcome().  MwRepair::run() is now a thin
@@ -68,7 +68,10 @@ class RepairSession {
   /// finishes early when a probe repairs.  Returns true when the session
   /// is done (repair found or iteration budget exhausted); further calls
   /// are no-ops returning true.  `workers` optionally fans the suite runs
-  /// out (bit-identical for any worker count, as in MwRepair::run).
+  /// out (bit-identical for any worker count, as in MwRepair::run).  A
+  /// null `workers` evaluates the probes in a plain loop on the calling
+  /// thread: the campaign server's epoch tasks step sessions that way, so
+  /// a campaign step never posts or counts a nested pool job.
   bool step(parallel::ThreadPool* workers = nullptr);
 
   [[nodiscard]] bool done() const noexcept { return done_; }

@@ -1,7 +1,6 @@
 #include "core/mwu.hpp"
 
 #include <cmath>
-#include <optional>
 #include <stdexcept>
 
 #include "core/distributed_mwu.hpp"
@@ -9,7 +8,6 @@
 #include "core/slate_mwu.hpp"
 #include "core/standard_mwu.hpp"
 #include "obs/registry.hpp"
-#include "parallel/thread_pool.hpp"
 
 namespace mwr::core {
 
@@ -65,31 +63,14 @@ MwuResult run_mwu(MwuStrategy& strategy, const CostOracle& oracle,
   obs::Counter& probe_counter = metrics.counter("mwu.probes");
   obs::Histogram& cycle_seconds = metrics.histogram("mwu.cycle_seconds");
 
-  // Batched parallel probe evaluation (eval_threads >= 2): the pool lives
-  // for the whole run; each cycle splits one child stream per probe off the
-  // master stream *before* the fan-out, so rewards are a pure function of
-  // the seed regardless of thread count (see MwuConfig::eval_threads).
-  std::optional<parallel::ThreadPool> workers;
-  if (config.eval_threads > 1) workers.emplace(config.eval_threads);
-
-  // One probe, reward, and child-stream buffer per run, reused by every
-  // cycle.
+  // One probe and reward buffer per run, reused by every cycle.
   std::vector<std::size_t> probes;
   std::vector<double> rewards;
-  std::vector<util::RngStream> streams;
   for (std::size_t t = 0; t < config.max_iterations; ++t) {
     const obs::ScopedTimer cycle_timer(cycle_seconds);
     strategy.sample_into(rng, probes);
     rewards.resize(probes.size());
-    if (workers) {
-      streams.resize(probes.size());
-      for (auto& stream : streams) stream = rng.split();  // probe order
-      workers->parallel_for_index(probes.size(), [&](std::size_t j) {
-        rewards[j] = oracle.sample(probes[j], streams[j]);
-      });
-    } else {
-      oracle.sample_batch(probes, rng, rewards);
-    }
+    oracle.sample_batch(probes, rng, rewards);
     strategy.update(probes, rewards, rng);
     // One oracle call per probe, so the cycle's evaluations are its probes.
     result.evaluations += probes.size();

@@ -55,15 +55,6 @@ struct MwuConfig {
   /// Populations above this are declared intractable, reproducing the two
   /// "—" cells of Tables II-IV.
   std::size_t max_population = 1'000'000;
-  /// Worker threads for oracle-probe evaluation inside run_mwu.  1 (the
-  /// default) keeps the historical fully-serial loop, bit-identical to all
-  /// prior releases.  >= 2 evaluates the cycle's probes as a parallel batch
-  /// over a thread pool: before the fan-out the master stream deterministically
-  /// split()s one child stream per probe (in probe order), so the rewards —
-  /// and therefore the whole run — depend only on the seed, not on the
-  /// thread count or interleaving.  Any two values >= 2 produce identical
-  /// results.
-  std::size_t eval_threads = 1;
   /// Standard only: textbook weighted-majority mode.  The paper notes that
   /// "Standard assumes full visibility of the quality of each option on
   /// each iteration" (§II-B); with this flag every option is evaluated once

@@ -259,7 +259,7 @@ CampaignCheckpoint decode_checkpoint(std::span<const std::uint8_t> bytes) {
 }
 
 std::size_t write_checkpoint_bytes(std::span<const std::uint8_t> bytes,
-                                   const std::string& path, bool sync) {
+                                   const std::string& path) {
   const std::string tmp = path + ".tmp";
   const int fd =
       ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
@@ -277,7 +277,7 @@ std::size_t write_checkpoint_bytes(std::span<const std::uint8_t> bytes,
   }
   // Durability before visibility: the rename must never publish a file
   // whose data is still only in the page cache.
-  if (sync && ::fsync(fd) != 0) {
+  if (::fsync(fd) != 0) {
     ::close(fd);
     throw std::runtime_error("checkpoint: fsync failed: " + tmp);
   }
@@ -286,12 +286,6 @@ std::size_t write_checkpoint_bytes(std::span<const std::uint8_t> bytes,
   if (std::rename(tmp.c_str(), path.c_str()) != 0)
     throw std::runtime_error("checkpoint: rename failed: " + path);
   return bytes.size();
-}
-
-std::size_t write_checkpoint_file(const CampaignCheckpoint& checkpoint,
-                                  const std::string& path) {
-  const std::vector<std::uint8_t> bytes = encode_checkpoint(checkpoint);
-  return write_checkpoint_bytes(bytes, path, /*sync=*/false);
 }
 
 CampaignCheckpoint read_checkpoint_file(const std::string& path) {

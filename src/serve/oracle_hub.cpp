@@ -1,6 +1,5 @@
 #include "serve/oracle_hub.hpp"
 
-#include <bit>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -12,54 +11,12 @@ namespace mwr::serve {
 
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-std::uint64_t fnv_fold(std::uint64_t h, std::uint64_t v) noexcept {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xff;
-    h *= kFnvPrime;
-  }
-  return h;
-}
-
-std::uint64_t fnv_fold_string(std::uint64_t h, const std::string& s) noexcept {
-  h = fnv_fold(h, s.size());
-  for (const char c : s) h = fnv_fold(h, static_cast<unsigned char>(c));
-  return h;
-}
-
-std::uint64_t fnv_fold_double(std::uint64_t h, double v) noexcept {
-  return fnv_fold(h, std::bit_cast<std::uint64_t>(v));
-}
-
-/// Identity of one scenario: every spec field, the bug targeted and the
-/// suite size included.
-std::uint64_t spec_fingerprint(const datasets::ScenarioSpec& spec) {
-  std::uint64_t h = kFnvOffset;
-  h = fnv_fold_string(h, spec.name);
-  h = fnv_fold_string(h, spec.language);
-  h = fnv_fold(h, spec.options);
-  h = fnv_fold(h, spec.statements);
-  h = fnv_fold_double(h, spec.coverage);
-  h = fnv_fold_double(h, spec.safe_rate);
-  h = fnv_fold_double(h, spec.repair_rate);
-  h = fnv_fold(h, spec.optimum);
-  h = fnv_fold(h, spec.min_repair_edits);
-  h = fnv_fold_double(h, spec.value_noise);
-  h = fnv_fold(h, spec.seed);
-  h = fnv_fold(h, spec.relevance_localized ? 1u : 0u);
-  h = fnv_fold(h, spec.tests);
-  h = fnv_fold(h, spec.bug_id);
-  return h;
-}
-
 /// Identity of one oracle: the scenario plus the exact members of the pool
 /// its table is primed from.  Full members, not keys: a swap's operand
 /// orientation changes the table's relevance bits.
 std::uint64_t oracle_fingerprint(const datasets::ScenarioSpec& spec,
                                  const apr::MutationPool& pool) {
-  std::uint64_t h = fnv_fold(spec_fingerprint(spec), pool.size());
+  std::uint64_t h = apr::fnv_fold(apr::spec_fingerprint(spec), pool.size());
   for (const apr::Mutation& m : pool.mutations()) {
     h = apr::stable_hash(h, m.key(), m.target);
   }
@@ -71,10 +28,10 @@ std::uint64_t oracle_fingerprint(const datasets::ScenarioSpec& spec,
 /// precompute result is bit-identical for any worker count.
 std::uint64_t pool_fingerprint(const datasets::ScenarioSpec& spec,
                                const apr::PoolConfig& config) {
-  std::uint64_t h = spec_fingerprint(spec);
-  h = fnv_fold(h, config.target_size);
-  h = fnv_fold(h, config.max_attempts);
-  h = fnv_fold(h, config.seed);
+  std::uint64_t h = apr::spec_fingerprint(spec);
+  h = apr::fnv_fold(h, config.target_size);
+  h = apr::fnv_fold(h, config.max_attempts);
+  h = apr::fnv_fold(h, config.seed);
   return h;
 }
 
@@ -93,45 +50,35 @@ OracleHub::Stats OracleHub::stats() const {
   return stats_;
 }
 
-apr::ScenarioServices::OracleLease OracleHub::oracle_for(
-    const datasets::ScenarioSpec& spec, const apr::MutationPool& base_pool) {
-  const std::uint64_t key = oracle_fingerprint(spec, base_pool);
-  std::shared_ptr<OracleEntry> entry;
-  bool builder = false;
+template <typename LeaseT, typename Build>
+LeaseT OracleHub::build_once(EntryMap<LeaseT> OracleHub::*entries,
+                             std::uint64_t key, const char* what,
+                             const std::string& name,
+                             std::uint64_t Stats::*builds,
+                             std::uint64_t Stats::*hits,
+                             obs::Counter& build_metric,
+                             obs::Counter& hit_metric, Build build) {
+  std::shared_ptr<Entry<LeaseT>> entry;
   {
     util::MutexLock lock(mutex_);
-    auto& slot = oracles_[key];
-    if (!slot) {
-      slot = std::make_shared<OracleEntry>();
-      builder = true;
-    }
-    entry = slot;
-    if (builder) {
-      ++stats_.oracle_builds;
-    } else {
+    auto& slot = (this->*entries)[key];
+    if (slot) {
+      entry = slot;
       while (!entry->ready) ready_cv_.wait(mutex_);
       if (entry->failed)
-        throw std::runtime_error("OracleHub: oracle build failed for " +
-                                 spec.name);
-      ++stats_.oracle_hits;
-      oracle_hits_->add(1);
+        throw std::runtime_error(std::string("OracleHub: ") + what +
+                                 " build failed for " + name);
+      ++(stats_.*hits);
+      hit_metric.add(1);
       return entry->lease;
     }
+    entry = slot = std::make_shared<Entry<LeaseT>>();
+    ++(stats_.*builds);
   }
 
-  OracleLease lease;
+  LeaseT lease;
   try {
-    auto program = std::make_shared<const apr::ProgramModel>(spec);
-    auto oracle = std::make_shared<const apr::TestOracle>(*program);
-    // Nothing else can see this oracle until `ready` flips below, so the
-    // prime cannot race an evaluate_pooled().  The per-pool table (masks,
-    // unsafe/relevant bitsets, interference CSR) holds every hash the
-    // pooled scenario can charge, paid once here and amortized over every
-    // tenant's probes.
-    oracle->prime_wave(base_pool.mutations());
-    lease.program = std::move(program);
-    lease.oracle = std::move(oracle);
-    lease.shared = true;
+    lease = build();
   } catch (...) {
     util::MutexLock lock(mutex_);
     entry->failed = true;
@@ -140,7 +87,7 @@ apr::ScenarioServices::OracleLease OracleHub::oracle_for(
     // map slot is released so a later campaign retries the build instead
     // of hitting a permanently poisoned fingerprint (the failure may
     // have been transient — allocation pressure, say).
-    oracles_.erase(key);
+    (this->*entries).erase(key);
     ready_cv_.notify_all();
     throw;
   }
@@ -150,66 +97,50 @@ apr::ScenarioServices::OracleLease OracleHub::oracle_for(
     entry->ready = true;
     ready_cv_.notify_all();
   }
-  oracle_builds_->add(1);
+  build_metric.add(1);
   return lease;
+}
+
+apr::ScenarioServices::OracleLease OracleHub::oracle_for(
+    const datasets::ScenarioSpec& spec, const apr::MutationPool& base_pool) {
+  return build_once(
+      &OracleHub::oracles_, oracle_fingerprint(spec, base_pool), "oracle",
+      spec.name, &Stats::oracle_builds, &Stats::oracle_hits, *oracle_builds_,
+      *oracle_hits_, [&] {
+        auto program = std::make_shared<const apr::ProgramModel>(spec);
+        auto oracle = std::make_shared<const apr::TestOracle>(*program);
+        // Nothing else can see this oracle until its entry is ready, so
+        // the prime cannot race an evaluate_pooled().  The per-pool table
+        // (masks, unsafe/relevant bitsets, interference CSR) holds every
+        // hash the pooled scenario can charge, paid once here and
+        // amortized over every tenant's probes.
+        oracle->prime_wave(base_pool.mutations());
+        OracleLease lease;
+        lease.program = std::move(program);
+        lease.oracle = std::move(oracle);
+        lease.shared = true;
+        return lease;
+      });
 }
 
 apr::ScenarioServices::PoolLease OracleHub::base_pool(
     const datasets::ScenarioSpec& spec, const apr::PoolConfig& config) {
-  const std::uint64_t key = pool_fingerprint(spec, config);
-  std::shared_ptr<PoolEntry> entry;
-  bool builder = false;
-  {
-    util::MutexLock lock(mutex_);
-    auto& slot = pools_[key];
-    if (!slot) {
-      slot = std::make_shared<PoolEntry>();
-      builder = true;
-    }
-    entry = slot;
-    if (builder) {
-      ++stats_.pool_builds;
-    } else {
-      while (!entry->ready) ready_cv_.wait(mutex_);
-      if (entry->failed)
-        throw std::runtime_error("OracleHub: pool build failed for " +
-                                 spec.name);
-      ++stats_.pool_hits;
-      pool_hits_->add(1);
-      return entry->lease;
-    }
-  }
-
-  PoolLease lease;
-  try {
-    // The build uses a private oracle, so its suite-run counter is this
-    // build's alone.  The analytic identity (precompute suite runs == pool
-    // attempts) makes that counter transferable to every tenant's ledger.
-    const apr::ProgramModel program(spec);
-    const apr::TestOracle oracle(program);
-    auto pool = std::make_shared<const apr::MutationPool>(
-        apr::MutationPool::precompute(oracle, config));
-    lease.pool = std::move(pool);
-    lease.precompute_runs = oracle.suite_runs();
-  } catch (...) {
-    util::MutexLock lock(mutex_);
-    entry->failed = true;
-    entry->ready = true;
-    // Same retry contract as oracle_for: fail the parked waiters, free
-    // the slot so the next tenant rebuilds instead of inheriting a
-    // permanently cached failure.
-    pools_.erase(key);
-    ready_cv_.notify_all();
-    throw;
-  }
-  {
-    util::MutexLock lock(mutex_);
-    entry->lease = lease;
-    entry->ready = true;
-    ready_cv_.notify_all();
-  }
-  pool_builds_->add(1);
-  return lease;
+  return build_once(
+      &OracleHub::pools_, pool_fingerprint(spec, config), "pool", spec.name,
+      &Stats::pool_builds, &Stats::pool_hits, *pool_builds_, *pool_hits_,
+      [&] {
+        // The build uses a private oracle, so its suite-run counter is
+        // this build's alone.  The analytic identity (precompute suite
+        // runs == pool attempts) makes that counter transferable to every
+        // tenant's ledger.
+        const apr::ProgramModel program(spec);
+        const apr::TestOracle oracle(program);
+        PoolLease lease;
+        lease.pool = std::make_shared<const apr::MutationPool>(
+            apr::MutationPool::precompute(oracle, config));
+        lease.precompute_runs = oracle.suite_runs();
+        return lease;
+      });
 }
 
 }  // namespace mwr::serve

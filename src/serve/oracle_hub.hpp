@@ -28,13 +28,15 @@
 // entry, builds outside the lock, then marks it ready under the lock.
 // Callers that race the builder wait on a condition variable — an
 // OS-thread block, acceptable because builders never suspend and
-// therefore always retire.  A build failure poisons the entry and
-// rethrows to all waiters.
+// therefore always retire.  A build failure poisons the entry, rethrows
+// to all waiters, and frees the key so the next tenant retries.  Both
+// lookups run this one protocol (build_once).
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <string>
 
 #include "apr/campaign_session.hpp"
 #include "util/sync.hpp"
@@ -72,15 +74,26 @@ class OracleHub final : public apr::ScenarioServices {
     bool failed = false;
     LeaseT lease;
   };
-  using OracleEntry = Entry<OracleLease>;
-  using PoolEntry = Entry<PoolLease>;
+  template <typename LeaseT>
+  using EntryMap = std::map<std::uint64_t, std::shared_ptr<Entry<LeaseT>>>;
+
+  /// The build-once protocol both lookups share.  The first caller for
+  /// `key` publishes a pending entry, counts a build and runs `build`
+  /// outside the lock; callers that race it wait on ready_cv_ and count a
+  /// hit.  A failed build poisons the entry, so its waiters throw, and
+  /// erases it, so the next caller retries.  `entries` is a member
+  /// pointer so the map is only ever touched under mutex_.
+  template <typename LeaseT, typename Build>
+  LeaseT build_once(EntryMap<LeaseT> OracleHub::*entries, std::uint64_t key,
+                    const char* what, const std::string& name,
+                    std::uint64_t Stats::*builds, std::uint64_t Stats::*hits,
+                    obs::Counter& build_metric, obs::Counter& hit_metric,
+                    Build build);
 
   mutable util::Mutex mutex_;
   util::CondVar ready_cv_;
-  std::map<std::uint64_t, std::shared_ptr<OracleEntry>> oracles_
-      MWR_GUARDED_BY(mutex_);
-  std::map<std::uint64_t, std::shared_ptr<PoolEntry>> pools_
-      MWR_GUARDED_BY(mutex_);
+  EntryMap<OracleLease> oracles_ MWR_GUARDED_BY(mutex_);
+  EntryMap<PoolLease> pools_ MWR_GUARDED_BY(mutex_);
   Stats stats_ MWR_GUARDED_BY(mutex_);
 
   obs::Counter* oracle_builds_;

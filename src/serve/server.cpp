@@ -25,7 +25,6 @@ std::size_t epoch_participants(std::size_t workers) {
 
 CampaignServer::CampaignServer(ServerConfig config)
     : config_(std::move(config)),
-      scheduler_(config_.quantum),
       pool_(epoch_participants(config_.workers)) {
   auto& metrics = obs::MetricsRegistry::global();
   submitted_ = &metrics.counter("serve.submitted");
@@ -83,37 +82,39 @@ std::optional<std::uint64_t> CampaignServer::submit(
       std::move(plan.spec), plan.config, &hub_);
   campaign.session->set_metric_scope("campaign/" + std::to_string(id));
   running_.emplace(id, std::move(campaign));
-  scheduler_.admit(id);
   submitted_->add(1);
   resident_gauge_->set(static_cast<double>(running_.size()));
   return id;
 }
 
 bool CampaignServer::run_epoch() {
-  const std::vector<DeficitScheduler::Grant> grants =
-      scheduler_.begin_epoch();
-  if (grants.empty()) return false;
+  if (running_.empty()) return false;
 
-  // One task per campaign: each calls step(budget) on its own session,
-  // which owns its RNG stream, and writes only its own slot.  A throwing
-  // session fails alone; its task never aborts the sweep.
+  // One task per resident campaign, in ascending id order (running_ is a
+  // std::map).  Each calls step(budget) on its own session, which owns
+  // its RNG stream, and writes only its own slot.  A throwing session
+  // fails alone; its task never aborts the sweep.  Every campaign gets
+  // the same budget: step() consumes all of it unless the campaign
+  // finishes, so a per-campaign carry-over would never be non-zero.
   struct Slot {
-    apr::CampaignSession* session = nullptr;
+    Campaign* campaign = nullptr;
     std::size_t used = 0;
     std::size_t probes = 0;
     double seconds = 0.0;
     std::string error;
   };
-  const std::size_t n = grants.size();
-  std::vector<Slot> slots(n);
-  for (std::size_t i = 0; i < n; ++i)
-    slots[i].session = running_.at(grants[i].id).session.get();
-  pool_.parallel_for_index(n, [&](std::size_t i) {
+  const std::size_t budget = std::max<std::size_t>(1, config_.quantum);
+  std::vector<Slot> slots;
+  slots.reserve(running_.size());
+  for (auto& [id, campaign] : running_)
+    slots.emplace_back().campaign = &campaign;
+  pool_.parallel_for_index(slots.size(), [&](std::size_t i) {
     Slot& slot = slots[i];
+    apr::CampaignSession& session = *slot.campaign->session;
     const util::WallTimer timer;
     try {
-      slot.used = slot.session->step(grants[i].budget);
-      slot.probes = slot.session->probes_last_step();
+      slot.used = session.step(budget);
+      slot.probes = session.probes_last_step();
     } catch (const std::exception& error) {
       slot.error = error.what();
       if (slot.error.empty()) slot.error = "campaign step failed";
@@ -123,25 +124,22 @@ bool CampaignServer::run_epoch() {
     slot.seconds = timer.elapsed_seconds();
   });
 
-  // Settle in ascending grant order, so retire, fail and checkpoint
-  // order never depends on the task schedule.
+  // Settle in ascending id order, so retire, fail and checkpoint order
+  // never depends on the task schedule.
   std::vector<std::uint64_t> retired;
   std::vector<std::uint64_t> failed;
-  for (std::size_t i = 0; i < n; ++i) {
-    const DeficitScheduler::Grant& grant = grants[i];
-    const Slot& slot = slots[i];
-    scheduler_.settle(grant.id, slot.used);
-    Campaign& campaign = running_.at(grant.id);
+  for (const Slot& slot : slots) {
+    Campaign& campaign = *slot.campaign;
     campaign.online_cycles += slot.used;
     campaign.online_probes += slot.probes;
     record_step_latency(slot.seconds);
     if (!slot.error.empty()) {
       campaign.error = slot.error;
-      failed.push_back(grant.id);
+      failed.push_back(campaign.id);
     } else if (campaign.session->done()) {
-      retired.push_back(grant.id);
+      retired.push_back(campaign.id);
     } else if (slot.used == 0) {
-      // DRR guarantees budget >= 1 and sessions consume >= 1 unit while
+      // Every budget is >= 1 and sessions consume >= 1 unit while
       // unfinished, so this counter staying at zero is the no-starvation
       // proof obligation CI checks.
       ++starved_epochs_count_;
@@ -192,7 +190,6 @@ void CampaignServer::finish_campaign(Campaign&& campaign) {
   // Keep the outcome; result() renders the document on first fetch.
   campaign.outcome = std::make_unique<apr::CampaignOutcome>(outcome);
   campaign.session.reset();  // drop pool/lease memory; keep the ledger.
-  scheduler_.remove(campaign.id);
   if (!config_.checkpoint_dir.empty()) {
     // Route the removal through the writer so it orders after (and
     // cancels) any in-flight write for this campaign.
@@ -215,7 +212,6 @@ void CampaignServer::fail_campaign(Campaign&& campaign) {
     campaign.bugs_done = campaign.session->bugs_completed();
     campaign.session.reset();
   }
-  scheduler_.remove(campaign.id);
   if (!config_.checkpoint_dir.empty()) {
     writer().enqueue_remove(campaign.id, checkpoint_path(campaign.id));
   }
@@ -289,10 +285,9 @@ std::string CampaignServer::checkpoint_path(std::uint64_t campaign_id) const {
 
 std::uint64_t CampaignServer::enqueue_dirty_checkpoints() {
   // The critical path pays only for campaigns that progressed since
-  // their last checkpoint: serialize the snapshot into a buffer and
-  // queue it.  The encoded bytes are identical to the synchronous
-  // write_checkpoint_file path — the writer adds durability (fsync), not
-  // format.
+  // their last checkpoint: serialize the snapshot into a buffer with
+  // encode_checkpoint and queue it; the writer thread does the file I/O
+  // (write_checkpoint_bytes: tmp + fsync + rename).
   const util::WallTimer timer;
   std::uint64_t bytes = 0;
   CheckpointWriter& w = writer();
@@ -365,7 +360,6 @@ std::size_t CampaignServer::restore_from_dir() {
     } else {
       const std::uint64_t id = campaign.id;
       running_.emplace(id, std::move(campaign));
-      scheduler_.admit(id);
     }
     ++restored;
   }

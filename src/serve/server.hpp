@@ -6,21 +6,20 @@
 //   submit()     admission control: a campaign is admitted while the
 //                resident count is below the configured cap, planned via
 //                plan_campaign(), given "campaign/<id>/" scoped metrics,
-//                and registered with the deficit-round-robin scheduler.
-//   run_epoch()  one scheduling epoch: a parallel_for_index over the
-//                granted campaigns on the server's pool (threads parked
-//                between epochs; no per-epoch spawn/join; the control
-//                loop drains alongside them).  Task i calls
-//                step(budget) on campaign i's session and records the
-//                units used, the probes issued, its wall time and any
-//                exception in its own slot.  Then, serially and in
-//                ascending grant order, each slot is settled with the
-//                scheduler, and finished campaigns are retired: result
-//                JSON rendered on first fetch (the same
+//                and made resident.
+//   run_epoch()  one scheduling epoch: a parallel_for_index over every
+//                resident campaign, in ascending id order, on the
+//                server's pool (threads parked between epochs; no
+//                per-epoch spawn/join; the control loop drains alongside
+//                them).  Task i calls step(max(1, quantum)) on campaign
+//                i's session and records the units used, the probes
+//                issued, its wall time and any exception in its own
+//                slot.  Then, serially and in ascending id order, each
+//                slot's counters are booked and finished campaigns are
+//                retired: result JSON rendered on first fetch (the same
 //                mwr-campaign-outcome-v1 document repair_tool emits),
-//                scheduler slot released, checkpoint removal routed
-//                through the async writer.  A campaign whose step threw
-//                fails alone.
+//                checkpoint removal routed through the async writer.  A
+//                campaign whose step threw fails alone.
 //   checkpoint_all() / restore_from_dir()
 //                durability: the epoch path serializes only *dirty*
 //                campaigns (progress since their last checkpoint) into
@@ -40,11 +39,13 @@
 // campaign single-threaded, so tasks never nest.  The writer thread only
 // ever sees byte buffers the critical path has already sealed.
 //
-// Fairness telemetry: serve.starved_epochs counts campaigns that ended
-// an epoch with zero units consumed while unfinished.  The DRR invariant
-// (every resident campaign gets budget >= 1 every epoch, and sessions
-// always consume >= 1 unit when budgeted) keeps it at exactly zero; CI
-// asserts that on every serve-lane run.
+// Fairness: CampaignSession::step(budget) consumes the whole budget
+// unless the campaign finishes, so every resident campaign advances by
+// exactly max(1, quantum) units per epoch — round robin with an equal
+// quantum, no carried credit (none would ever accrue).  Telemetry:
+// serve.starved_epochs counts campaigns that ended an epoch with zero
+// units consumed while unfinished; the budget >= 1 rule keeps it at
+// exactly zero, and CI asserts that on every serve-lane run.
 #pragma once
 
 #include <cstdint>
@@ -58,7 +59,6 @@
 #include "parallel/thread_pool.hpp"
 #include "serve/control.hpp"
 #include "serve/oracle_hub.hpp"
-#include "serve/scheduler.hpp"
 
 namespace mwr::obs {
 class Counter;
@@ -72,7 +72,8 @@ class CheckpointWriter;
 
 struct ServerConfig {
   std::size_t max_resident = 256;   ///< admission-control cap.
-  std::size_t quantum = 8;          ///< DRR work units per campaign-epoch.
+  std::size_t quantum = 8;          ///< work units per campaign-epoch
+                                    ///< (0 runs as 1).
   /// Epoch workers; 0 = hardware_concurrency.  The epoch runs on one
   /// thread at workers <= 1 and on workers + 1 threads at 2 or more: W
   /// parked pool threads plus the control loop, which drains too.
@@ -100,8 +101,8 @@ class CampaignServer {
   /// knobs — see plan_campaign).
   std::optional<std::uint64_t> submit(const SubmitRequest& request);
 
-  /// Runs one DRR epoch over the resident campaigns.  Returns false when
-  /// there was nothing to run.
+  /// Runs one epoch: steps every resident campaign by quantum units.
+  /// Returns false when there was nothing to run.
   bool run_epoch();
 
   /// Steps epochs until every resident campaign has finished, then
@@ -118,7 +119,7 @@ class CampaignServer {
   [[nodiscard]] std::size_t completed() const noexcept;
   [[nodiscard]] std::uint64_t epochs() const noexcept { return epochs_run_; }
   /// Campaign-epochs that made zero progress (the starvation monitor;
-  /// invariantly 0 under DRR).
+  /// invariantly 0: every epoch budgets each campaign >= 1 unit).
   [[nodiscard]] std::uint64_t starved_epochs() const noexcept {
     return starved_epochs_count_;
   }
@@ -200,8 +201,7 @@ class CampaignServer {
   void finish_campaign(Campaign&& campaign);
   /// Retires a campaign whose session threw (campaign.error holds the
   /// message): the result frame becomes an mwr-campaign-error-v1
-  /// document and the scheduler slot is released, leaving every other
-  /// tenant untouched.
+  /// document, leaving every other tenant untouched.
   void fail_campaign(Campaign&& campaign);
   void fill_status(const Campaign& campaign, StatusReply& reply) const;
   [[nodiscard]] std::string checkpoint_path(std::uint64_t campaign_id) const;
@@ -214,7 +214,6 @@ class CampaignServer {
 
   ServerConfig config_;
   OracleHub hub_;
-  DeficitScheduler scheduler_;
   std::map<std::uint64_t, Campaign> running_;
   std::map<std::uint64_t, Campaign> finished_;
   std::uint64_t next_id_ = 1;

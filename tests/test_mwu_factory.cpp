@@ -58,26 +58,20 @@ TEST(RunMwu, ConvergesAndReportsBookkeeping) {
 
 TEST(RunMwu, EvaluationsAreIterationsTimesCpusPerCycleForEveryKind) {
   // run_mwu books each cycle's probes in one add; the oracle underneath
-  // counts the calls it really received, serially and fanned out.
+  // counts the calls it really received.
   const auto options = datasets::make_random(64, 11);
   const BernoulliOracle inner(options);
   for (const MwuKind kind : {MwuKind::kStandard, MwuKind::kSlate,
                              MwuKind::kDistributed, MwuKind::kExp3}) {
-    for (const std::size_t threads : {1u, 2u}) {
-      const CountingOracle oracle(inner);
-      auto config = config_for(64);
-      config.max_iterations = 300;
-      config.eval_threads = threads;
-      const auto result =
-          run_mwu(kind, oracle, config, util::RngStream(12));
-      const std::string label =
-          to_string(kind) + " eval_threads=" + std::to_string(threads);
-      EXPECT_GT(result.iterations, 0u) << label;
-      EXPECT_EQ(result.evaluations,
-                result.iterations * result.cpus_per_cycle)
-          << label;
-      EXPECT_EQ(result.evaluations, oracle.evaluations()) << label;
-    }
+    const CountingOracle oracle(inner);
+    auto config = config_for(64);
+    config.max_iterations = 300;
+    const auto result = run_mwu(kind, oracle, config, util::RngStream(12));
+    const std::string label = to_string(kind);
+    EXPECT_GT(result.iterations, 0u) << label;
+    EXPECT_EQ(result.evaluations, result.iterations * result.cpus_per_cycle)
+        << label;
+    EXPECT_EQ(result.evaluations, oracle.evaluations()) << label;
   }
 }
 

@@ -1,8 +1,9 @@
 // The campaign server, end to end (minus the socket — that layer is
-// tests/test_serve_control.cpp): payload/checkpoint codecs, DRR
-// fairness invariants, multi-tenant multiplexing over the oracle hub,
-// and the headline durability pin — checkpoint, kill, resume, and the
-// trajectory hash is bit-identical to the uninterrupted run.
+// tests/test_serve_control.cpp): payload/checkpoint codecs, per-epoch
+// fairness (every resident campaign gets `quantum` units), multi-tenant
+// multiplexing over the oracle hub, and the headline durability pin —
+// checkpoint, kill, resume, and the trajectory hash is bit-identical to
+// the uninterrupted run.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -31,7 +32,6 @@
 #include "serve/control.hpp"
 #include "serve/oracle_hub.hpp"
 #include "serve/payload_codec.hpp"
-#include "serve/scheduler.hpp"
 #include "serve/server.hpp"
 
 namespace mwr::serve {
@@ -189,49 +189,6 @@ TEST(ControlCodec, PlanRejectsDegenerateRepairKnobs) {
   request = valid;
   request.tests = 65;
   EXPECT_THROW((void)plan_campaign(request), std::invalid_argument);
-}
-
-// --- deficit-round-robin scheduler --------------------------------------
-
-TEST(DeficitScheduler, EveryResidentCampaignIsGrantedEveryEpoch) {
-  DeficitScheduler scheduler(/*quantum=*/4);
-  scheduler.admit(3);
-  scheduler.admit(1);
-  scheduler.admit(2);
-  const auto grants = scheduler.begin_epoch();
-  ASSERT_EQ(grants.size(), 3u);
-  // Deterministic ascending-id order, every budget >= quantum >= 1.
-  EXPECT_EQ(grants[0].id, 1u);
-  EXPECT_EQ(grants[1].id, 2u);
-  EXPECT_EQ(grants[2].id, 3u);
-  for (const auto& grant : grants) EXPECT_GE(grant.budget, 4u);
-}
-
-TEST(DeficitScheduler, DeficitCarriesOverAndIsCapped) {
-  DeficitScheduler scheduler(/*quantum=*/4, /*max_carry_quanta=*/2);
-  scheduler.admit(1);
-  // Consume nothing for many epochs: deficit accrues but caps at 2 quanta.
-  for (int epoch = 0; epoch < 5; ++epoch) {
-    const auto grants = scheduler.begin_epoch();
-    ASSERT_EQ(grants.size(), 1u);
-    scheduler.settle(1, 0);
-  }
-  const auto grants = scheduler.begin_epoch();
-  EXPECT_EQ(grants[0].budget, 8u);  // capped, not 24
-  // Full consumption resets the deficit.
-  scheduler.settle(1, 8);
-  EXPECT_EQ(scheduler.deficit(1), 0u);
-}
-
-TEST(DeficitScheduler, BoundsOveruseAndDuplicateAdmission) {
-  DeficitScheduler scheduler(/*quantum=*/2);
-  scheduler.admit(1);
-  EXPECT_THROW(scheduler.admit(1), std::invalid_argument);
-  (void)scheduler.begin_epoch();
-  EXPECT_THROW(scheduler.settle(1, 99), std::logic_error);
-  scheduler.remove(1);
-  EXPECT_EQ(scheduler.resident(), 0u);
-  scheduler.settle(1, 5);  // unknown id: ignored, not fatal
 }
 
 // --- session refactor identity ------------------------------------------
@@ -765,7 +722,7 @@ TEST(CampaignServer, UnresumableCheckpointFailsOnlyItsCampaign) {
   const CampaignPlan plan = plan_campaign(tampered.request);
   tampered.snapshot.working_pool.push_back(
       foreign_mutation(plan.spec, tampered.snapshot.working_pool));
-  (void)write_checkpoint_file(tampered, path);
+  (void)write_checkpoint_bytes(encode_checkpoint(tampered), path);
 
   ServerConfig config;
   config.checkpoint_dir = dir.string();
@@ -922,6 +879,42 @@ TEST(CampaignServer, EpochRunsOnOneThreadAtOneWorkerAndThreeAtTwo) {
   }
 }
 
+TEST(CampaignServer, EveryResidentCampaignGetsQuantumUnitsPerEpoch) {
+  // A session consumes its whole budget unless it finishes, and every
+  // epoch grants each resident campaign max(1, quantum) units, so after
+  // e epochs an unfinished campaign has run exactly e budgets: no
+  // campaign is starved and none pulls ahead of its co-tenants.
+  const std::vector<std::string> families = {"units", "Math80", "Chart26"};
+  for (const auto& [quantum, budget] :
+       {std::pair<std::size_t, std::uint64_t>{0, 1}, {1, 1}, {3, 3},
+        {8, 8}}) {
+    SCOPED_TRACE("quantum " + std::to_string(quantum));
+    ServerConfig config;
+    config.workers = 2;
+    config.quantum = quantum;
+    CampaignServer server(config);
+    std::vector<std::uint64_t> ids;
+    for (std::size_t i = 0; i < 6; ++i)
+      ids.push_back(*server.submit(
+          small_request(families[i % families.size()], 600 + i)));
+    std::uint64_t epochs = 0;
+    while (server.run_epoch()) {
+      ++epochs;
+      for (const std::uint64_t id : ids) {
+        const StatusReply status = server.status(id);
+        if (status.done) {
+          EXPECT_LE(status.online_cycles, epochs * budget);
+        } else {
+          ASSERT_EQ(status.online_cycles, epochs * budget) << "campaign " << id;
+        }
+      }
+    }
+    EXPECT_GT(epochs, 1u);
+    EXPECT_EQ(server.completed(), ids.size());
+    EXPECT_EQ(server.starved_epochs(), 0u);
+  }
+}
+
 TEST(CheckpointWriter, LatestWinsCoalescingAndRemoveOrdering) {
   const std::filesystem::path dir = private_dir();
   std::filesystem::remove_all(dir);
@@ -1058,14 +1051,11 @@ TEST(CampaignServer, DirtyTrackingSkipsCleanCampaignsAndMatchesSyncBytes) {
   EXPECT_EQ(read_file_bytes(dir / "campaign-1.ckpt"), bytes_1);
   EXPECT_EQ(read_file_bytes(dir / "campaign-2.ckpt"), bytes_2);
 
-  // The async writer's file equals the synchronous write path's, byte
-  // for byte: round-trip the decoded checkpoint through
-  // write_checkpoint_file and compare.
+  // The writer's file is exactly the codec's output: decoding it and
+  // re-encoding reproduces it byte for byte.
   const CampaignCheckpoint decoded =
       read_checkpoint_file((dir / "campaign-1.ckpt").string());
-  const std::string sync_path = (dir / "sync-copy.bin").string();
-  (void)write_checkpoint_file(decoded, sync_path);
-  EXPECT_EQ(read_file_bytes(sync_path), bytes_1);
+  EXPECT_EQ(encode_checkpoint(decoded), bytes_1);
 
   // One more epoch re-dirties both; the next checkpoint pays again.
   (void)server.run_epoch();

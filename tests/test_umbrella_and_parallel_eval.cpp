@@ -114,39 +114,10 @@ TEST(ParallelEvaluation, ThreadCountDoesNotChangeTheCells) {
   }
 }
 
-TEST(ParallelEvaluation, BatchedProbeEvaluationIsDeterministicAcrossThreadCounts) {
-  // run_mwu's batched probe evaluation splits one child stream per probe
-  // (in probe order) before fanning out, so the trajectory depends only on
-  // the seed: any two eval_threads >= 2 values are identical, for every
-  // algorithm.
-  const auto options = datasets::make_unimodal(48, 9);
-  const core::BernoulliOracle oracle(options);
-  for (const auto kind : {core::MwuKind::kStandard, core::MwuKind::kSlate,
-                          core::MwuKind::kDistributed}) {
-    core::MwuConfig config;
-    config.num_options = 48;
-    config.num_agents = 16;
-    config.max_iterations = 3000;
-    config.eval_threads = 2;
-    const auto two =
-        core::run_mwu(kind, oracle, config, util::RngStream(11));
-    config.eval_threads = 4;
-    const auto four =
-        core::run_mwu(kind, oracle, config, util::RngStream(11));
-    EXPECT_EQ(two.converged, four.converged);
-    EXPECT_EQ(two.iterations, four.iterations);
-    EXPECT_EQ(two.best_option, four.best_option);
-    ASSERT_EQ(two.probabilities.size(), four.probabilities.size());
-    for (std::size_t i = 0; i < two.probabilities.size(); ++i) {
-      EXPECT_EQ(two.probabilities[i], four.probabilities[i]);
-    }
-  }
-}
-
 TEST(ParallelEvaluation, SerialPathIsTheHistoricalTrajectory) {
-  // eval_threads == 1 must consume the master stream exactly as the
-  // pre-batching serial loop did (no split() calls), so seeded runs
-  // reproduce historical results bit-for-bit.
+  // run_mwu must consume the master stream exactly as the pre-batching
+  // serial loop did (no split() calls), so seeded runs reproduce
+  // historical results bit-for-bit.
   const auto options = datasets::make_unimodal(32, 3);
   const core::BernoulliOracle oracle(options);
   core::MwuConfig config;
@@ -174,7 +145,6 @@ TEST(ParallelEvaluation, SerialPathIsTheHistoricalTrajectory) {
     }
   }
 
-  config.eval_threads = 1;
   const auto result = core::run_mwu(core::MwuKind::kStandard, oracle, config,
                                     util::RngStream(17));
   EXPECT_EQ(result.converged, converged);

@@ -198,7 +198,7 @@ RULES = [
         # campaign server's two audited OS seams: the control socket, and
         # the checkpoint codec's durable-write path (tmp + ::write + fsync
         # + rename — durability needs raw fds; iostreams cannot fsync).
-        # The rest of the subsystem (payload codecs, scheduler, the server
+        # The rest of the subsystem (payload codecs, oracle hub, the server
         # itself) must stay IPC-free.
         whitelist=(
             "src/parallel/transport/",

@@ -3,10 +3,10 @@
 // Listens on a Unix-domain control socket for MWRW control frames
 // (serve/control.hpp): clients submit campaigns, poll status, fetch
 // results, request checkpoints, and ask for a drain-and-exit shutdown.
-// Resident campaigns advance between control-plane services, one
-// deficit-round-robin epoch at a time, one task per campaign on the
-// bounded superstep engine — thousands of tenants, a fixed worker pool,
-// and no tenant starved (serve/scheduler.hpp).
+// Resident campaigns advance between control-plane services, one epoch
+// at a time: every epoch steps each resident campaign by --quantum work
+// units, one task per campaign on a fixed worker pool — thousands of
+// tenants, and no tenant starved or run ahead (serve/server.hpp).
 //
 // Durability: with --checkpoint-dir the daemon persists every resident
 // campaign's snapshot (each --checkpoint-every epochs and on demand);
@@ -96,7 +96,9 @@ int run(int argc, char** argv) {
       "campaigns over a UDS control socket");
   cli.add_string("socket", "", "control socket path (required)");
   cli.add_int("max-campaigns", 256, "admission cap on resident campaigns");
-  cli.add_int("quantum", 8, "DRR work units per campaign per epoch");
+  cli.add_int("quantum", 8,
+              "work units every resident campaign runs per epoch (0 runs "
+              "as 1)");
   cli.add_int("workers", 0,
               "epoch worker threads (0 = hardware); at 2 or more the "
               "control loop drains too, so an epoch runs on workers + 1");
